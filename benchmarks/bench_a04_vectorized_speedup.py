@@ -13,10 +13,7 @@ the event-/epoch-driven scenarios through the specialised flat
 simulators and must also win outright (the flat engines beat the generic
 event calendar by a constant factor); ``cached``-mode kernels only hoist
 replication-invariant work, so their speedup is bounded by the hoisted
-fraction and asserted only not to regress.  E19 is the one lockstep
-kernel held to the regression floor instead: its per-replication
-Lagrangian-bound/Whittle-table solves dominate the rollouts the kernel
-batches.
+fraction and asserted only not to regress.
 """
 
 from __future__ import annotations
@@ -64,16 +61,16 @@ SMOKE_BATCH = {
     # vectorized side is measurable and the ratio stops jittering
     "E1": (48, None),
     "E4": (32, None),
+    "E6": (4, {"ns": (4, 8, 11)}),
     "E12": (2, {"horizon": 300.0, "rhos": (0.6, 0.8)}),
     "E15": (2, {"horizon": 1500.0}),
     "E17": (32, None),
+    "E19": (2, {"horizon": 200, "warmup": 20}),
 }
 
-# kernels that still spend most of each replication outside the batched
-# part (cached hoists, or E19's per-replication bound/index solves): only
-# guard against regression, don't demand a speedup
+# cached kernels still spend most of each replication outside the hoisted
+# part: only guard against regression, don't demand a speedup
 _EVENT_BOUND_FLOOR = 0.7
-_REGRESSION_FLOOR_ONLY = {"E19"}
 
 
 def smoke_mode() -> bool:
@@ -82,9 +79,7 @@ def smoke_mode() -> bool:
 
 def _outright(sid: str) -> bool:
     mode = get_kernel(sid).mode
-    return (
-        mode == "batched" or mode == "lockstep" or sid in ("E5", "E18")
-    ) and sid not in _REGRESSION_FLOOR_ONLY
+    return mode == "batched" or mode == "lockstep" or sid in ("E5", "E18")
 
 
 def _measure(sid: str, batch) -> tuple[float, float]:

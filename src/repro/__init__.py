@@ -16,13 +16,31 @@ J. Niño-Mora, *Stochastic Scheduling* (Encyclopedia of Optimization, 2001):
   :mod:`repro.mdp`, :mod:`repro.sim`, :mod:`repro.utils`.
 """
 
-# The version participates in the sample store's content address
-# (repro/experiments/store.py): bump it whenever any scenario's simulate
-# output changes, so stale cached rows are never served.  1.1.0: the
-# sweep subsystem, and E12 gained the n_rhos/top_rho grid descriptors.
-# 1.2.0: the bench-trajectory subsystem and the profiled flat engines
-# (all outputs bit-identical to 1.1.0).
-__version__ = "1.3.0"
+
+
+def _distribution_version() -> str:
+    """The version declared in ``pyproject.toml``, its one source: read
+    from the file in a source checkout, from the installed distribution's
+    metadata otherwise."""
+    import os
+    import re
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "pyproject.toml")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError:
+        text = ""
+    if 'name = "repro-stochastic-scheduling"' in text:
+        return re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
+    from importlib.metadata import version
+
+    return version("repro-stochastic-scheduling")
+
+
+# Results documents and bench records carry it; sample-store keys use the
+# owning pack's version instead (repro/experiments/store.py).
+__version__ = _distribution_version()
 
 from repro import batch, core, distributions, markov, mdp, sim, utils  # noqa: F401
 

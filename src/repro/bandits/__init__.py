@@ -28,6 +28,7 @@ from repro.bandits.restless import (
     RestlessProject,
     is_indexable,
     random_restless_project,
+    whittle_index_tables,
     whittle_indices,
 )
 from repro.bandits.relaxation import (
@@ -40,6 +41,7 @@ from repro.bandits.relaxation import (
 from repro.bandits.heterogeneous import (
     heterogeneous_relaxation_bound,
     heterogeneous_whittle_rule,
+    relaxation_bounds_and_indices,
     simulate_heterogeneous_restless,
 )
 from repro.bandits.switching import (
@@ -64,6 +66,7 @@ __all__ = [
     "RestlessProject",
     "random_restless_project",
     "whittle_indices",
+    "whittle_index_tables",
     "is_indexable",
     "average_relaxation_bound",
     "primal_dual_indices",
@@ -72,6 +75,7 @@ __all__ = [
     "myopic_rule",
     "heterogeneous_relaxation_bound",
     "heterogeneous_whittle_rule",
+    "relaxation_bounds_and_indices",
     "simulate_heterogeneous_restless",
     "switching_bandit_mdp",
     "optimal_switching_value",

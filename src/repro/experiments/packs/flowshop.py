@@ -822,7 +822,8 @@ def batch_e4(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     "E6",
     mode="batched",
     note="the nested-instance optimal and WSEPT subset DPs run once per "
-    "batch with vector-valued states instead of once per replication",
+    "batch with vector-valued states, one array computation per popcount "
+    "layer (every mask of a size and all its actions at once)",
 )
 def batch_e6(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``batched`` kernel for E6: runs all replications at once on arrays with a replication axis;

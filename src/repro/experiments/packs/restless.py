@@ -298,53 +298,42 @@ def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 @PACK.kernel(
     "E19",
     mode="lockstep",
-    note="both policy rollouts advance all replications' fleets in "
-    "lockstep on stacked (reps, projects, states) arrays; the Lagrangian "
-    "bound and Whittle tables keep their exact per-replication solves "
-    "(they depend on each replication's random projects and dominate the "
-    "runtime)",
+    note="the Lagrangian-bound golden-section searches and the Whittle "
+    "bisections of every replication's fleet advance one step per round, "
+    "each round one stacked relative-value-iteration solve; both policy "
+    "rollouts advance all fleets in lockstep on stacked (reps, projects, "
+    "states) arrays",
 )
 def batch_e19(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``lockstep`` kernel for E19: drives the whole batch through the flat lockstep simulators;
     bit-for-bit equal to ``simulate_e19`` on the same seeds.
     """
-    from repro.bandits import (
-        heterogeneous_relaxation_bound,
-        random_restless_project,
-    )
-    from repro.bandits.restless import whittle_indices
+    from repro.bandits import random_restless_project, relaxation_bounds_and_indices
 
     n_proj, n_states = int(params["n_projects"]), int(params["n_states"])
     m = int(params["m"])
     horizon, warmup = int(params["horizon"]), int(params["warmup"])
     N = len(seeds)
 
-    bounds = np.empty(N)
-    shadow = np.empty(N)
-    w_tables = np.empty((N, n_proj, n_states))
-    myop_tables = np.empty((N, n_proj, n_states))
-    cum0 = np.empty((N, n_proj, n_states, n_states))
-    cum1 = np.empty((N, n_proj, n_states, n_states))
-    R0 = np.empty((N, n_proj, n_states))
-    R1 = np.empty((N, n_proj, n_states))
-    sims_w, sims_m = [], []
-    for r, ss in enumerate(seeds):
+    fleets, sims_w, sims_m = [], [], []
+    for ss in seeds:
         rng = np.random.default_rng(ss)
-        projects = [random_restless_project(n_states, rng) for _ in range(n_proj)]
-        bounds[r], shadow[r] = heterogeneous_relaxation_bound(projects, m)
-        # heterogeneous_whittle_rule computes exactly these per-project
-        # tables; the rollout reads them as floats, like rule.index does
-        for k, p in enumerate(projects):
-            w_tables[r, k] = whittle_indices(p, criterion="average")
-            myop_tables[r, k] = p.R1 - p.R0
-            cum0[r, k] = np.cumsum(p.P0, axis=1)
-            cum1[r, k] = np.cumsum(p.P1, axis=1)
-            R0[r, k] = p.R0
-            R1[r, k] = p.R1
+        fleets.append([random_restless_project(n_states, rng) for _ in range(n_proj)])
         sw, sm = rng.spawn(2)
         sims_w.append(sw)
         sims_m.append(sm)
-
+    projects = [p for fleet in fleets for p in fleet]
+    fleet_bounds, tables = relaxation_bounds_and_indices(fleets, m)
+    bounds, shadow = np.array(fleet_bounds, dtype=float).reshape(N, 2).T
+    S = (N, n_proj, n_states)
+    # heterogeneous_whittle_rule computes exactly these per-project
+    # tables; the rollout reads them as floats, like rule.index does
+    w_tables = np.array(tables, dtype=float).reshape(S)
+    myop_tables = np.array([p.R1 - p.R0 for p in projects]).reshape(S)
+    cum0 = np.array([np.cumsum(p.P0, axis=1) for p in projects]).reshape(S + (n_states,))
+    cum1 = np.array([np.cumsum(p.P1, axis=1) for p in projects]).reshape(S + (n_states,))
+    R0 = np.array([p.R0 for p in projects]).reshape(S)
+    R1 = np.array([p.R1 for p in projects]).reshape(S)
     whittle = lockstep_heterogeneous_rollouts(
         w_tables, cum0, cum1, R0, R1, m, horizon, sims_w, warmup=warmup
     )

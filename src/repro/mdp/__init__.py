@@ -14,6 +14,7 @@ from repro.mdp.solvers import (
     linear_programming,
     policy_iteration,
     relative_value_iteration,
+    stacked_relative_value_iteration,
     value_iteration,
 )
 
@@ -24,5 +25,6 @@ __all__ = [
     "policy_iteration",
     "linear_programming",
     "relative_value_iteration",
+    "stacked_relative_value_iteration",
     "average_reward_lp",
 ]

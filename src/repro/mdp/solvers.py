@@ -16,13 +16,18 @@ __all__ = [
     "policy_iteration",
     "linear_programming",
     "relative_value_iteration",
+    "stacked_relative_value_iteration",
     "average_reward_lp",
 ]
 
 
 @dataclass(frozen=True)
 class MDPSolution:
-    """Optimal value function, a greedy optimal policy, and solver metadata."""
+    """Optimal value function, a greedy optimal policy, and solver metadata.
+
+    A stacked solve (:func:`stacked_relative_value_iteration`) returns one
+    of these whose fields are arrays with a leading batch axis.
+    """
 
     value: np.ndarray
     policy: np.ndarray
@@ -128,26 +133,101 @@ def relative_value_iteration(
 
     Returns the bias vector (normalised to 0 at ``reference_state``), an
     optimal policy, and the optimal gain in ``MDPSolution.gain``. Used by the
-    Whittle-index and average-cost queueing experiments.
+    Whittle-index and average-cost queueing experiments. This is the
+    one-row call of :func:`stacked_relative_value_iteration`.
     """
-    v = np.zeros(mdp.n_states)
-    policy = np.zeros(mdp.n_states, dtype=int)
-    gain = 0.0
+    sol = stacked_relative_value_iteration(
+        mdp.transitions[None],
+        mdp.rewards[None],
+        mask=mdp._mask,
+        tol=tol,
+        max_iter=max_iter,
+        reference_state=reference_state,
+    )
+    return MDPSolution(
+        sol.value[0],
+        sol.policy[0],
+        int(sol.iterations[0]),
+        bool(sol.converged[0]),
+        gain=float(sol.gain[0]),
+    )
+
+
+def stacked_relative_value_iteration(
+    transitions: np.ndarray,
+    rewards: np.ndarray,
+    *,
+    mask: np.ndarray | None = None,
+    tol: float | np.ndarray = 1e-9,
+    max_iter: int = 200_000,
+    reference_state: int = 0,
+) -> MDPSolution:
+    """Relative value iteration on a stack of MDPs run in lockstep.
+
+    ``transitions`` has shape ``(B, A, S, S)`` and ``rewards`` ``(B, A, S)``;
+    ``mask`` (broadcastable to ``(B, A, S)``) adds ``-inf`` to disallowed
+    actions, like :attr:`FiniteMDP._mask`; ``tol`` is one tolerance or one
+    per row. Every field of the returned solution carries a leading batch
+    axis: ``value``/``policy`` are ``(B, S)``,
+    ``iterations``/``converged``/``gain`` are ``(B,)``.
+
+    Row ``b`` is bit-for-bit the scalar iteration on MDP ``b``: the
+    per-row arithmetic is the same elementwise IEEE sequence, and each row
+    retires at its own convergence iteration (rows that never converge
+    report ``max_iter`` with the last iterate, as the scalar loop does).
+    """
+    T = np.asarray(transitions, dtype=float)
+    R = np.asarray(rewards, dtype=float)
+    if T.ndim != 4 or T.shape[2] != T.shape[3] or R.shape != T.shape[:3]:
+        raise ValueError("need transitions (B, A, S, S) and rewards (B, A, S)")
+    B, A, S, _ = T.shape
+    M = np.zeros((A, S)) if mask is None else np.asarray(mask, dtype=float)
+    M = np.broadcast_to(M, (B, A, S))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (B,))
+    value = np.zeros((B, S))
+    policy = np.zeros((B, S), dtype=int)
+    iterations = np.full(B, max_iter)
+    converged = np.zeros(B, dtype=bool)
+    gain = np.zeros(B)
+    live = np.arange(B)  # original row of each row still iterating
+    v = np.zeros((B, S))
+    pol = np.zeros((B, S), dtype=int)
+    d = np.zeros((B, S))
+    ref = reference_state
+    if B == 0:
+        return MDPSolution(value, policy, iterations, converged, gain=gain)
+    row_ix, state_ix = np.arange(B)[:, None], np.arange(S)
     # aperiodicity transform: mix with the identity
     tau = 0.5
     for it in range(1, max_iter + 1):
-        q = mdp.rewards + np.einsum("ast,t->as", mdp.transitions, v)
-        v_new, policy = mdp._masked_max(q)
+        qm = R + np.einsum("bast,bt->bas", T, v) + M
+        pol = qm.argmax(axis=1)
+        v_new = qm[row_ix, pol, state_ix]
         v_new = tau * v_new + (1 - tau) * v  # damped update keeps spans contracting
-        gain = v_new[reference_state] - v[reference_state]
-        span = float(np.max(v_new - v) - np.min(v_new - v))
-        if span < tol:
-            g = float(np.max(v_new - v) + np.min(v_new - v)) / 2.0 / tau
+        d = v_new - v  # d[:, ref] is the gain estimate
+        hi, lo = d.max(axis=1), d.min(axis=1)
+        done = hi - lo < tol
+        if done.any():
+            rows = live[done]
             # the damped operator has the same bias as the original problem
-            bias = v_new - v_new[reference_state]
-            return MDPSolution(bias, policy, it, True, gain=g)
-        v = v_new - v_new[reference_state]
-    return MDPSolution(v, policy, max_iter, False, gain=gain / tau)
+            value[rows] = v_new[done] - v_new[done, ref, None]
+            policy[rows] = pol[done]
+            iterations[rows] = it
+            converged[rows] = True
+            gain[rows] = (hi[done] + lo[done]) / 2.0 / tau
+            keep = ~done
+            live = live[keep]
+            if live.size == 0:
+                break
+            T, R, M, tol = T[keep], R[keep], M[keep], tol[keep]
+            v_new, pol, d = v_new[keep], pol[keep], d[keep]
+            row_ix = row_ix[: live.size]
+        v = v_new - v_new[:, ref, None]
+    else:
+        value[live] = v
+        policy[live] = pol
+        gain[live] = d[:, ref] / tau
+    return MDPSolution(value, policy, iterations, converged, gain=gain)
 
 
 def average_reward_lp(mdp: FiniteMDP) -> tuple[float, np.ndarray]:

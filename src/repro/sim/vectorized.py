@@ -44,7 +44,10 @@ equivalence tests, so a platform where one failed would fail loudly):
 * elementwise array ops replicate the identical scalar IEEE-754 ops;
 * ``np.cumsum`` accumulates left-to-right, matching ``t += x`` loops;
 * ``a.sum(axis=-1)`` on a C-contiguous array applies the same pairwise
-  reduction per row as ``row.sum()`` on the equal-length 1-D row;
+  reduction per row as ``row.sum()`` on the equal-length 1-D row (from
+  length 8 on the order is unrolled, so the layout matters: ``w[:, idx]``
+  mixes a slice with an index array and may come back non-C-contiguous,
+  while ``w[rows, idx]`` with an index array on every axis is C order);
 * ``np.argsort(key, kind="stable")`` equals
   ``np.lexsort((np.arange(n), key))`` and
   ``sorted(range(n), key=lambda j: (key[j], j))``;
@@ -55,7 +58,11 @@ equivalence tests, so a platform where one failed would fail loudly):
   LAPACK routine per slice as the ``(S, S)`` solve;
 * a stacked ``(N, S, S) @ (N, S, 1)`` matmul equals the per-slice
   ``(S, S) @ (S,)`` matrix–vector product, and ``(N, 1, S) @ (N, S, 1)``
-  equals the per-slice 1-D dot;
+  equals the per-slice 1-D dot (a stacked ``einsum`` matvec does not:
+  it can differ in the last ulp);
+* ``np.einsum("bast,bt->bas", T, v)`` equals ``np.einsum("ast,t->as",
+  T[b], v[b])`` per slice (what lets a stacked relative value iteration
+  replay the scalar one);
 * ``rng.exponential(scale, size=k)`` consumes the same bit stream as
   ``k`` successive scalar ``rng.exponential(scale)`` calls, and
   ``rng.exponential(scale) == scale * rng.standard_exponential()``
@@ -301,6 +308,10 @@ def min_flowtime_over_permutations(
 # Batched subset DP for exponential jobs on identical parallel machines
 # ---------------------------------------------------------------------------
 
+#: elements per (replications, masks, actions, machines) temporary of one
+#: block of a subset-DP layer
+_DP_BLOCK = 1 << 20
+
 
 def subset_dp_batch(
     rates: np.ndarray,
@@ -326,7 +337,9 @@ def subset_dp_batch(
     :func:`repro.batch.exponential_dp.sept_action`.
 
     Returns ``V[full mask]`` of shape ``(N,)``, bit-for-bit equal to
-    running the scalar DP per replication.
+    running the scalar DP per replication. The DP runs one popcount layer
+    at a time: all masks with the same number of uncompleted jobs (and,
+    when optimising, all their actions) form one array computation.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2:
@@ -348,41 +361,51 @@ def subset_dp_batch(
             raise ValueError("priority must have the same shape as rates")
     if objective == "flowtime":
         w = np.ones_like(rates) if weights is None else np.asarray(weights, dtype=float)
-    rows = np.arange(N)
+    rows = np.arange(N)[:, None, None, None]
     V = np.zeros((N, 1 << n))
-    masks = sorted(range(1, 1 << n), key=lambda msk: bin(msk).count("1"))
-    for mask in masks:
-        jobs = [i for i in range(n) if mask >> i & 1]
-        k = min(m, len(jobs))
-        if objective == "flowtime":
-            c = w[:, jobs].sum(axis=1)
-        else:
-            c = 1.0
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    popcount = bits.sum(axis=1)
+    # one popcount layer at a time: a mask's successors all lie in the
+    # layer below, so a layer is one set of array operations (in blocks of
+    # masks that bound the (N, masks, actions, k) temporaries)
+    for size in range(1, n + 1):
+        k = min(m, size)
         if policy is None:
-            best = np.full(N, np.inf)
-            for chosen in itertools.combinations(jobs, k):
-                total = rates[:, chosen].sum(axis=1)
-                val = c / total
-                for j in chosen:
-                    val = val + (rates[:, j] / total) * V[:, mask & ~(1 << j)]
-                best = np.minimum(best, val)
-            V[:, mask] = best
-        else:
-            if policy == "index":
-                key = -priority[:, jobs]
+            # every C(size, k) action, in itertools.combinations order
+            combos = np.array(list(itertools.combinations(range(size), k)), dtype=np.intp)
+        n_actions = 1 if policy is not None else len(combos)
+        layer_masks = masks[popcount == size]
+        block = max(1, _DP_BLOCK // (N * n_actions * k))
+        for lo in range(0, layer_masks.size, block):
+            layer = layer_masks[lo : lo + block]  # (M,)
+            jobs = np.nonzero(bits[layer])[1].reshape(layer.size, size)  # ascending ids
+            # all-array indexing yields C order, so each mask's sum runs
+            # along a contiguous last axis of the mask's length: numpy then
+            # applies the scalar DP's summation order (w[:, jobs] would not
+            # be C-contiguous)
+            if objective == "flowtime":
+                c = w[rows[..., 0], jobs].sum(axis=-1)[:, :, None]
             else:
-                r_jobs = rates[:, jobs]
-                key = -r_jobs if policy == "sept" else r_jobs
-            # stable argsort == sorted(jobs, key=(key, job id))
-            chosen = np.asarray(jobs, dtype=np.intp)[
-                np.argsort(key, axis=1, kind="stable")[:, :k]
-            ]  # (N, k) job ids, in per-replication policy order
-            total = np.take_along_axis(rates, chosen, axis=1).sum(axis=1)
+                c = 1.0
+            if policy is None:
+                chosen = jobs[:, combos][None]  # (1, M, C, k)
+            else:
+                if policy == "index":
+                    key = -priority[:, jobs]
+                else:
+                    key = -rates[:, jobs] if policy == "sept" else rates[:, jobs]
+                # stable argsort == sorted(jobs, key=(key, job id))
+                order = np.argsort(key, axis=-1, kind="stable")[..., :k]
+                chosen = np.take_along_axis(np.broadcast_to(jobs, key.shape), order, axis=-1)
+                chosen = chosen[:, :, None, :]  # (N, M, 1, k), in policy order
+            chosen_rates = rates[rows, chosen]
+            total = chosen_rates.sum(axis=-1)
             val = c / total
             for pos in range(k):
-                j = chosen[:, pos]
-                val = val + (rates[rows, j] / total) * V[rows, mask & ~(1 << j)]
-            V[:, mask] = val
+                succ = layer[:, None] & ~(1 << chosen[..., pos])
+                val = val + (chosen_rates[..., pos] / total) * V[rows[..., 0], succ]
+            V[:, layer] = val.min(axis=-1)
     return V[:, (1 << n) - 1]
 
 

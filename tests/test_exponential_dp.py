@@ -131,3 +131,65 @@ class TestValidation:
         act_l = lept_action(rates, 2)
         assert act_s([0, 1, 2]) == [1, 0]  # largest rates first
         assert act_l([0, 1, 2]) == [2, 0]  # smallest rates first
+
+
+class TestLayeredBatchDP:
+    """``subset_dp_batch`` (one array computation per popcount layer) must
+    equal the scalar DPs bit for bit. From n = 8 on numpy sums a mask's
+    weights in its unrolled pairwise order, so these sizes pin the batched
+    sums to the scalar summation order; a tie in the rates pins the
+    policies' tie-break to the lowest job id."""
+
+    @staticmethod
+    def _scalar(rates, weights, m, objective, policy):
+        action = policy
+        if policy == "index":
+            idx = weights * rates
+
+            def action(jobs):
+                return sorted(jobs, key=lambda j: (-idx[j], j))[: min(m, len(jobs))]
+
+        if objective == "flowtime":
+            if policy is None:
+                return flowtime_dp(rates, m, weights=weights)
+            return policy_flowtime_dp(rates, m, action=action, weights=weights)
+        if policy is None:
+            return makespan_dp(rates, m)
+        return policy_makespan_dp(rates, m, action=action)
+
+    @pytest.mark.parametrize("n", [8, 9, 11, 12])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("objective", ["flowtime", "makespan"])
+    def test_matches_scalar_dp_bitwise(self, n, m, objective):
+        from repro.sim.vectorized import subset_dp_batch
+
+        rng = np.random.default_rng(1000 * n + 10 * m + (objective == "makespan"))
+        reps = 1 if n == 12 else 2
+        rates = rng.uniform(0.3, 3.0, size=(reps, n))
+        weights = rng.uniform(0.5, 2.0, size=(reps, n))
+        rates[0, 1] = rates[0, n - 2]
+        for policy in (None, "sept", "lept", "index"):
+            got = subset_dp_batch(
+                rates,
+                m,
+                objective=objective,
+                weights=weights if objective == "flowtime" else None,
+                policy=policy,
+                priority=weights * rates if policy == "index" else None,
+            )
+            for r in range(reps):
+                want = self._scalar(rates[r], weights[r], m, objective, policy)
+                assert got[r] == want, (n, m, objective, policy, r)
+
+    def test_blocked_layers_match(self, monkeypatch):
+        import repro.sim.vectorized as vectorized
+
+        monkeypatch.setattr(vectorized, "_DP_BLOCK", 7)  # many blocks a layer
+        rng = np.random.default_rng(5)
+        rates = rng.uniform(0.3, 3.0, size=(3, 9))
+        weights = rng.uniform(0.5, 2.0, size=(3, 9))
+        opt = vectorized.subset_dp_batch(rates, 3, weights=weights)
+        lept = vectorized.subset_dp_batch(rates, 2, objective="makespan", policy="lept")
+        for r in range(3):
+            assert opt[r] == flowtime_dp(rates[r], 3, weights=weights[r])
+            assert lept[r] == policy_makespan_dp(rates[r], 2, "lept")
