@@ -1,19 +1,27 @@
 """Ablation A2 — the discrete-event engine.
 
-Measures raw event throughput of the simulation substrate on the M/M/1
-workload every queueing experiment rests on, and cross-checks accuracy
-against the closed form (the engine must not trade correctness for speed).
+Measures the raw throughput of the two queueing engines every queueing
+experiment rests on — ``simulate_network`` on an M/M/1 workload and
+``PollingSystem.simulate`` on E15's exhaustive short-switchover case —
+and cross-checks accuracy against the M/M/1 closed form (the engine must
+not trade correctness for speed).  ``events_per_s`` and
+``polling_customers_per_s`` are the gated guards on engine speed: the
+queueing scenarios run these engines on both backends, so the a04
+backend ratios cannot catch them slowing down.
 
 Driven by the experiment registry (scenario A2): the accuracy anchor runs
 as replications through the shared runner; the throughput measurement
 keeps its direct event-engine form.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.distributions import Exponential
+from repro.distributions import Deterministic, Exponential
 from repro.experiments import get_scenario, run_scenario
+from repro.queueing import PollingSystem
 from repro.queueing.mg1 import mm1_metrics
 from repro.queueing.network import (
     ClassConfig,
@@ -25,6 +33,23 @@ from repro.queueing.network import (
 SC = get_scenario("A2")
 
 
+# Both throughputs are absolute rates, and on a shared 2-core VM twelve
+# full runs of this bench spread by up to 47% (slowest vs fastest run of
+# best-of-15 timings), so the slack sits above that: the gate catches an
+# engine that got about twice as slow, not a small drift.
+_TOLERANCE = 0.55
+
+
+def _best_of(fn, n: int = 15) -> float:
+    # best-of-n damps scheduler noise from other processes
+    best = float("inf")
+    for _ in range(n):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def test_a02_event_engine_throughput(benchmark, report, record_bench):
     net = QueueingNetwork(
         [ClassConfig(0, Exponential(1.0), arrival_rate=0.7)],
@@ -32,21 +57,38 @@ def test_a02_event_engine_throughput(benchmark, report, record_bench):
     )
     horizon = 5_000.0  # ~ 2 * 0.7 * 5000 = 7k events per run
     benchmark(lambda: simulate_network(net, horizon, np.random.default_rng(0)))
+    t_run = _best_of(lambda: simulate_network(net, horizon, np.random.default_rng(0)))
 
-    import time
-
-    t_run = float("inf")
-    for _ in range(3):  # best-of-3 damps scheduler noise
-        t0 = time.perf_counter()
-        simulate_network(net, horizon, np.random.default_rng(0))
-        t_run = min(t_run, time.perf_counter() - t0)
+    # E15's exhaustive case at its default horizon: Exponential services
+    # and Deterministic switchovers, so the engine takes its block-draw path
+    lam = [0.3, 0.2]
+    polling = PollingSystem(
+        lam,
+        [Exponential(2.0), Exponential(1.5)],
+        [Deterministic(0.1), Deterministic(0.1)],
+        "exhaustive",
+    )
+    p_horizon = 12_000.0  # ~ 0.5 * 12000 = 6k customers per run
+    t_poll = _best_of(lambda: polling.simulate(p_horizon, np.random.default_rng(0)))
     record_bench(
         "a02_event_engine",
         {
             "mm1_run_s": {"value": t_run, "unit": "s"},
-            "events_per_s": {"value": 2 * 0.7 * horizon / t_run, "unit": "1/s"},
+            "events_per_s": {
+                "value": 2 * 0.7 * horizon / t_run,
+                "unit": "1/s",
+                "direction": "higher",
+                "tolerance": _TOLERANCE,
+            },
+            "polling_run_s": {"value": t_poll, "unit": "s"},
+            "polling_customers_per_s": {
+                "value": sum(lam) * p_horizon / t_poll,
+                "unit": "1/s",
+                "direction": "higher",
+                "tolerance": _TOLERANCE,
+            },
         },
-        meta={"horizon": horizon},
+        meta={"horizon": horizon, "polling_horizon": p_horizon},
     )
 
     res = run_scenario(SC, replications=5, seed=2, workers=1)

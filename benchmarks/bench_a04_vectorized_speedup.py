@@ -8,12 +8,14 @@ replications through numpy buys over the per-replication event loop, and
 it is the canary for a kernel silently degenerating to the slow path.
 
 ``batched``-mode kernels genuinely vectorize the replication loop and
-must beat the event backend outright; ``lockstep``-mode kernels drive
-the event-/epoch-driven scenarios through the specialised flat
-simulators and must also win outright (the flat engines beat the generic
-event calendar by a constant factor); ``cached``-mode kernels only hoist
-replication-invariant work, so their speedup is bounded by the hoisted
-fraction and asserted only not to regress.
+must beat the event backend outright; ``lockstep``-mode kernels advance
+the whole batch one event or epoch per step and must also win outright;
+``cached``-mode kernels only hoist replication-invariant work, so their
+speedup is bounded by the hoisted fraction and asserted only not to
+regress.  The queueing kernels (E10–E15, A2) are the exception: both
+backends run the same ``simulate_network`` / ``PollingSystem.simulate``
+engine, so their ratio only measures the hoisted analysis and is
+recorded for information, ungated.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ SMOKE_BATCH = {
     "E1": (48, None),
     "E4": (32, None),
     "E6": (4, {"ns": (4, 8, 11)}),
-    "E12": (2, {"horizon": 300.0, "rhos": (0.6, 0.8)}),
-    "E15": (2, {"horizon": 1500.0}),
     "E17": (32, None),
     "E19": (2, {"horizon": 200, "warmup": 20}),
 }
@@ -71,6 +71,10 @@ SMOKE_BATCH = {
 # cached kernels still spend most of each replication outside the hoisted
 # part: only guard against regression, don't demand a speedup
 _EVENT_BOUND_FLOOR = 0.7
+
+# both backends of these scenarios run the one queueing engine: their
+# ratio is informational (no direction, no floor, no assertion)
+_SAME_ENGINE = frozenset({"A2", "E10", "E11", "E12", "E13", "E14", "E15"})
 
 
 def smoke_mode() -> bool:
@@ -116,14 +120,18 @@ def test_a04_vectorized_speedup(benchmark, report, record_bench):
         )
         # the speedup ratio is the gated metric (machine-robust); raw
         # wall times ride along undirected, for the trajectory only
-        metrics[f"{sid}.speedup"] = {
-            "value": speedups[sid],
-            "direction": "higher",
-            "floor": 1.0 if _outright(sid) else _EVENT_BOUND_FLOOR,
-            # smoke ratios come from tiny batches on shared CI machines,
-            # so they need roughly double the slack of the full run
-            "tolerance": 0.50 if smoke_mode() else 0.30,
-        }
+        if sid in _SAME_ENGINE:
+            metrics[f"{sid}.speedup"] = {"value": speedups[sid]}
+        else:
+            metrics[f"{sid}.speedup"] = {
+                "value": speedups[sid],
+                "direction": "higher",
+                "floor": 1.0 if _outright(sid) else _EVENT_BOUND_FLOOR,
+                # smoke ratios come from tiny batches on shared CI
+                # machines, so they need roughly double the slack of the
+                # full run
+                "tolerance": 0.50 if smoke_mode() else 0.30,
+            }
         metrics[f"{sid}.event_s"] = {"value": t_event, "unit": "s"}
         metrics[f"{sid}.vec_s"] = {"value": t_vec, "unit": "s"}
 
@@ -144,6 +152,8 @@ def test_a04_vectorized_speedup(benchmark, report, record_bench):
     )
 
     for sid, speedup in speedups.items():
+        if sid in _SAME_ENGINE:
+            continue
         if _outright(sid):
             assert speedup >= 1.0, (
                 f"{sid}: vectorized backend no faster than event "

@@ -29,14 +29,14 @@ The seed-handling contract every kernel must obey:
    (batching draws only where the consumed bit-stream is provably
    unchanged, e.g. ``rng.random(2n)`` for ``2n`` successive uniforms).
 
-Kernels come in three modes (see
+Kernels come in four modes (see
 :class:`repro.sim.vectorized.VectorizedKernel`): ``batched`` kernels
 vectorize the replication computation itself; ``lockstep`` kernels drive
-the event-/epoch-driven scenarios through the specialised lockstep
-simulators in :mod:`repro.sim.vectorized` (flat network/polling engines
-and batched fleet rollouts); ``cached`` kernels hoist the
+the epoch-driven scenarios through the lockstep fleet rollouts in
+:mod:`repro.sim.vectorized`; ``cached`` kernels hoist the
 replication-invariant part (for fully deterministic scenarios like
-E5/E18 that is the entire replication).
+E5/E18 that is the entire replication); ``direct`` kernels call the
+scenario's own ``simulate`` per replication.
 
 The kernel *implementations* used to live in this module; they now ship
 with their scenarios in the built-in packs under

@@ -981,7 +981,6 @@ def batch_e17(seeds: Seeds, params: Params) -> list[dict[str, float]]:
         simulate_flowshop,
         talwar_order,
     )
-    from repro.experiments.scenarios import _E17_RATES, _E17_RUNNER_UP
 
     rates = np.array(_E17_RATES)
     order = talwar_order(rates)

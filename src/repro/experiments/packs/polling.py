@@ -1,8 +1,7 @@
 """Polling-system scenario pack (E15).
 
 Exhaustive / gated / limited service under changeover times, pinned by
-the pseudo-conservation law — the survey's polling claim, with the
-lockstep flat-polling vectorized kernel.
+the pseudo-conservation law — the survey's polling claim.
 """
 
 from __future__ import annotations
@@ -13,10 +12,6 @@ import numpy as np
 
 from repro.experiments.packs import ScenarioPack
 from repro.utils.rng import crn_generators
-from repro.experiments.packs._shared import _crn_batches
-from repro.sim.vectorized import (
-    lockstep_polling_simulations,
-)
 
 Params = Mapping[str, Any]
 Seeds = Sequence[np.random.SeedSequence]
@@ -115,54 +110,11 @@ def simulate_e15(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 
 @PACK.kernel(
     "E15",
-    mode="lockstep",
-    note="the pseudo-conservation right-hand sides are deterministic and "
-    "hoisted; all six CRN (policy, switchover) cases run through the flat "
-    "polling engine with pre-drawn service blocks, including the "
-    "zero-switchover idle rule",
+    mode="direct",
+    note="each replication's six CRN (policy, switchover) polling "
+    "simulations dominate the run; the pseudo-conservation right-hand "
+    "sides are too small a share to hoist",
 )
 def batch_e15(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E15: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_e15`` on the same seeds.
-    """
-    from repro.distributions import Deterministic, Exponential
-    from repro.experiments.scenarios import _E15_LAM
-    from repro.queueing import pseudo_conservation_rhs
-
-    svc_rates = (2.0, 1.5)
-    svc = [Exponential(r) for r in svc_rates]
-    lam = list(_E15_LAM)
-    horizon = float(params["horizon"])
-    short, long_ = params["switchover_means"]
-    N = len(seeds)
-
-    cases = [
-        (pol, sw_mean, label)
-        for sw_mean, label in ((float(short), "short"), (float(long_), "long"))
-        for pol in ("exhaustive", "gated", "limited")
-    ]
-    rhs = {
-        (pol, sw_mean): pseudo_conservation_rhs(
-            lam, svc, [Deterministic(sw_mean), Deterministic(sw_mean)], pol
-        )
-        for pol, sw_mean, _ in cases
-        if pol in ("exhaustive", "gated")
-    }
-    metrics: dict[str, list[float]] = {}
-    cons_errs: list[list[float]] = [[] for _ in range(N)]
-    for (pol, sw_mean, label), rngs in zip(cases, _crn_batches(seeds, len(cases))):
-        results = lockstep_polling_simulations(
-            lam, svc_rates, [sw_mean, sw_mean], pol, horizon, rngs
-        )
-        metrics[f"{pol}_{label}"] = [float(res.weighted_wait_sum) for res in results]
-        if pol in ("exhaustive", "gated"):
-            for r, res in enumerate(results):
-                cons_errs[r].append(
-                    abs(res.weighted_wait_sum / rhs[(pol, sw_mean)] - 1.0)
-                )
-    rows = []
-    for r in range(N):
-        row = {name: vals[r] for name, vals in metrics.items()}
-        row["max_conservation_err"] = float(max(cons_errs[r]))
-        rows.append(row)
-    return rows
+    """``direct`` kernel for E15: runs ``simulate_e15`` per replication."""
+    return [simulate_e15(ss, params) for ss in seeds]

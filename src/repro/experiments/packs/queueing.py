@@ -3,8 +3,8 @@
 The cµ rule and achievable-region polytope for the multiclass M/G/1,
 Klimov's feedback index, heavy-traffic asymptotic optimality on parallel
 servers, Rybko–Stolyar instability, fluid-model policy ranking, and the
-M/M/1 / achievable-region LP ablation anchors — simulated through the
-event-driven network engine and its lockstep flat-network kernels.
+M/M/1 / achievable-region LP ablation anchors — simulated through
+:func:`repro.queueing.network.simulate_network`.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ import numpy as np
 
 from repro.experiments.packs import ScenarioPack
 from repro.utils.rng import crn_generators
-from repro.experiments.packs._shared import _crn_batches, _float_rows
-from repro.sim.vectorized import (
-    lockstep_network_simulations,
-)
+from repro.experiments.packs._shared import _crn_batches
 
 Params = Mapping[str, Any]
 Seeds = Sequence[np.random.SeedSequence]
@@ -566,207 +563,53 @@ def simulate_a3(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
 
 @PACK.kernel(
     "E10",
-    mode="lockstep",
-    note="the cµ/Cobham/polytope analysis is deterministic and hoisted out "
-    "of the replication loop; the CRN network simulations run through the "
-    "flat lockstep engine",
+    mode="direct",
+    note="each replication's CRN network simulations dominate the run; the "
+    "cµ/Cobham/polytope analysis is too small a share to hoist",
 )
 def batch_e10(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E10: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_e10`` on the same seeds.
-    """
-    from repro.core.conservation import (
-        check_strong_conservation,
-        performance_polytope_vertices,
-    )
-    from repro.experiments.scenarios import _E10_ARRIVAL, _E10_COSTS, _e10_services
-    from repro.queueing import optimal_average_cost, order_average_cost
-    from repro.queueing.network import ClassConfig, QueueingNetwork, StationConfig
-
-    services = _e10_services()
-    arrival, costs = list(_E10_ARRIVAL), list(_E10_COSTS)
-    horizon = float(params["horizon"])
-
-    opt_cost, cmu = optimal_average_cost(arrival, services, costs)
-    exact = {
-        perm: order_average_cost(arrival, services, costs, perm)
-        for perm in itertools.permutations(range(3))
-    }
-    best_perm = min(exact, key=exact.get)
-    worst_perm = max(exact, key=exact.get)
-    ms = np.array([s.mean for s in services])
-    m2 = np.array([s.second_moment for s in services])
-    n_vertices = float(len(performance_polytope_vertices(arrival, ms, m2)))
-    rtol = float(params["conservation_rtol"])
-
-    case_perms = (tuple(cmu), worst_perm)
-    sims = {}
-    for perm, rngs in zip(case_perms, _crn_batches(seeds, len(case_perms))):
-        net = QueueingNetwork(
-            [
-                ClassConfig(0, services[j], arrival_rate=arrival[j], cost=costs[j])
-                for j in range(3)
-            ],
-            [StationConfig(discipline="priority", priority=perm)],
-        )
-        sims[perm] = lockstep_network_simulations(net, horizon, rngs)
-    rows = []
-    for r in range(len(seeds)):
-        conserved = check_strong_conservation(
-            arrival, ms, m2, sims[tuple(cmu)][r].mean_waits, rtol=rtol
-        )
-        rows.append(
-            {
-                "opt_cost": float(opt_cost),
-                "cmu_picks_best": float(tuple(cmu) == best_perm),
-                "cmu_sim_ratio": float(sims[tuple(cmu)][r].cost_rate / opt_cost),
-                "worst_exact_ratio": float(exact[worst_perm] / opt_cost),
-                "worst_sim_ratio": float(sims[worst_perm][r].cost_rate / opt_cost),
-                "conservation_ok": float(conserved),
-                "n_vertices": n_vertices,
-            }
-        )
-    return rows
+    """``direct`` kernel for E10: runs ``simulate_e10`` per replication."""
+    return [simulate_e10(ss, params) for ss in seeds]
 
 
 @PACK.kernel(
     "E11",
-    mode="lockstep",
-    note="Klimov/cµ index analysis and network construction hoisted out of "
-    "the replication loop; the six CRN simulations run through the flat "
-    "lockstep engine",
+    mode="direct",
+    note="each replication's six CRN network simulations dominate the run; "
+    "the Klimov index analysis is too small a share to hoist",
 )
 def batch_e11(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E11: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_e11`` on the same seeds.
-    """
-    from repro.distributions import Exponential
-    from repro.experiments.scenarios import (
-        _E11_COSTS,
-        _E11_FEEDBACK,
-        _E11_LAM,
-        _E11_MUS,
-    )
-    from repro.queueing.klimov import klimov_indices, klimov_order
-    from repro.queueing.mg1 import cmu_order
-    from repro.queueing.network import ClassConfig, QueueingNetwork, StationConfig
-
-    lam, mus, costs = list(_E11_LAM), list(_E11_MUS), list(_E11_COSTS)
-    feedback = np.array(_E11_FEEDBACK)
-    means = [1.0 / m for m in mus]
-    horizon = float(params["horizon"])
-
-    k_order = tuple(klimov_order(costs, means, feedback))
-    naive = tuple(cmu_order(costs, means))
-    perms = list(itertools.permutations(range(3)))
-    reduce_ok = np.allclose(
-        klimov_indices(costs, means, np.zeros((3, 3))),
-        np.asarray(costs) / np.asarray(means),
-    )
-    results = {}
-    for perm, rngs in zip(perms, _crn_batches(seeds, len(perms))):
-        net = QueueingNetwork(
-            [
-                ClassConfig(0, Exponential(mus[j]), arrival_rate=lam[j], cost=costs[j])
-                for j in range(3)
-            ],
-            [StationConfig(discipline="priority", priority=perm)],
-            routing=feedback,
-        )
-        results[perm] = [
-            res.cost_rate
-            for res in lockstep_network_simulations(
-                net, horizon, rngs, warmup_fraction=0.2
-            )
-        ]
-    rows = []
-    for r in range(len(seeds)):
-        per_perm = {perm: results[perm][r] for perm in perms}
-        best = min(per_perm.values())
-        rows.append(
-            {
-                "klimov_cost": float(per_perm[k_order]),
-                "best_cost": float(best),
-                "klimov_vs_best": float(per_perm[k_order] / best),
-                "naive_cmu_ratio": float(per_perm[naive] / per_perm[k_order]),
-                "reduction_exact": float(reduce_ok),
-            }
-        )
-    return rows
+    """``direct`` kernel for E11: runs ``simulate_e11`` per replication."""
+    return [simulate_e11(ss, params) for ss in seeds]
 
 
 @PACK.kernel(
     "E12",
-    mode="lockstep",
-    note="the pooled preemptive-cµ lower bound and the M/M/m network are "
-    "built once per sweep point; every replication's rho sweep advances "
-    "through the flat lockstep engine on its own carried-over stream",
+    mode="direct",
+    note="each replication's rho sweep of M/M/m simulations dominates the "
+    "run; the pooled lower bounds are too small a share to hoist",
 )
 def batch_e12(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E12: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_e12`` on the same seeds.
-    """
-    from repro.queueing.heavy_traffic import build_mmk, pooled_lower_bound
-
-    mu = np.asarray(list(params["mu"]), dtype=float)
-    c = np.asarray(list(params["costs"]), dtype=float)
-    m = int(params["m"])
-    rhos = [float(r) for r in params["rhos"]]
-    horizon = float(params["horizon"])
-    n = mu.size
-    mix = np.full(n, 1.0 / n)
-    rho0 = min(rhos)
-    N = len(seeds)
-
-    # each replication's sweep reuses one generator across the rho points,
-    # exactly like parallel_server_experiment
-    rngs = [np.random.default_rng(ss) for ss in seeds]
-    ratios = np.empty((len(rhos), N))
-    bounds = np.empty(len(rhos))
-    costs_sim = np.empty((len(rhos), N))
-    for i, rho in enumerate(rhos):
-        if not 0 < rho < 1:
-            raise ValueError("rho values must be in (0, 1)")
-        lam = rho * m * mix * mu
-        net = build_mmk(lam, mu, c, m)
-        h = horizon * (1.0 - rho0) / (1.0 - rho)
-        results = lockstep_network_simulations(net, h, rngs, warmup_fraction=0.2)
-        bounds[i] = pooled_lower_bound(lam, mu, c, m)
-        for r, res in enumerate(results):
-            costs_sim[i, r] = res.cost_rate
-            ratios[i, r] = res.cost_rate / bounds[i]
-    min_ratio = ratios[0].copy()
-    for i in range(1, len(rhos)):
-        min_ratio = np.minimum(min_ratio, ratios[i])
-    return _float_rows(
-        {
-            "first_ratio": ratios[0],
-            "last_ratio": ratios[-1],
-            "min_ratio": min_ratio,
-            "last_bound": float(bounds[-1]),
-            "last_cost": costs_sim[-1],
-            "n_rhos": float(len(rhos)),
-            "top_rho": float(rhos[-1]),
-        },
-        N,
-    )
+    """``direct`` kernel for E12: runs ``simulate_e12`` per replication."""
+    return [simulate_e12(ss, params) for ss in seeds]
 
 
 @PACK.kernel(
     "E13",
-    mode="lockstep",
+    mode="cached",
     note="both deterministic fluid-stability integrations and the three "
-    "network constructions are hoisted out of the replication loop; the "
-    "stochastic sample paths run through the flat lockstep engine",
+    "network constructions are done once for the batch; the stochastic "
+    "sample paths call simulate_network as the event path does",
 )
 def batch_e13(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E13: drives the whole batch through the flat lockstep simulators;
+    """``cached`` kernel for E13: computes the fluid-stability integrations once per batch;
     bit-for-bit equal to ``simulate_e13`` on the same seeds.
     """
     from repro.queueing import (
         FluidModel,
         is_fluid_stable,
         rybko_stolyar_network,
+        simulate_network,
         virtual_station_load,
     )
 
@@ -777,9 +620,9 @@ def batch_e13(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     safe = rybko_stolyar_network(1.0, 0.1, 0.4, priority_to_exit=True)
 
     spawned = [np.random.default_rng(ss).spawn(3) for ss in seeds]
-    res_bad = lockstep_network_simulations(bad, horizon, [g[0] for g in spawned])
-    res_fifo = lockstep_network_simulations(fifo, horizon, [g[1] for g in spawned])
-    res_safe = lockstep_network_simulations(safe, horizon, [g[2] for g in spawned])
+    res_bad = [simulate_network(bad, horizon, g[0]) for g in spawned]
+    res_fifo = [simulate_network(fifo, horizon, g[1]) for g in spawned]
+    res_safe = [simulate_network(safe, horizon, g[2]) for g in spawned]
 
     naive_stable = float(is_fluid_stable(FluidModel.from_network(bad), horizon=fh, dt=dt))
     aug_stable = float(
@@ -808,16 +651,16 @@ def batch_e13(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "E14",
-    mode="lockstep",
-    note="the deterministic fluid drain integrations are computed once; "
-    "the CRN policy comparison runs through the flat lockstep engine",
+    mode="cached",
+    note="the deterministic fluid drain integrations are computed once for "
+    "the batch; the CRN policy comparison calls simulate_network as the "
+    "event path does",
 )
 def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E14: drives the whole batch through the flat lockstep simulators;
+    """``cached`` kernel for E14: computes the fluid drain integrations once per batch;
     bit-for-bit equal to ``simulate_e14`` on the same seeds.
     """
-    from repro.experiments.scenarios import _e14_network
-    from repro.queueing import FluidModel, fluid_drain_time
+    from repro.queueing import FluidModel, fluid_drain_time, simulate_network
 
     horizon = float(params["horizon"])
     dt, fh = float(params["fluid_dt"]), float(params["fluid_horizon"])
@@ -831,9 +674,7 @@ def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     }
     costs = {}
     for (name, net), rngs in zip(nets.items(), _crn_batches(seeds, len(nets))):
-        costs[name] = [
-            res.cost_rate for res in lockstep_network_simulations(net, horizon, rngs)
-        ]
+        costs[name] = [simulate_network(net, horizon, rng).cost_rate for rng in rngs]
     rows = []
     for r in range(len(seeds)):
         rows.append(
@@ -852,41 +693,13 @@ def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "A2",
-    mode="lockstep",
-    note="the M/M/1 closed forms are computed once; the sample paths run "
-    "through the flat lockstep engine",
+    mode="direct",
+    note="the M/M/1 sample path dominates the run; the closed forms are too "
+    "small a share to hoist",
 )
 def batch_a2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for A2: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_a2`` on the same seeds.
-    """
-    from repro.distributions import Exponential
-    from repro.queueing.mg1 import mm1_metrics
-    from repro.queueing.network import ClassConfig, QueueingNetwork, StationConfig
-
-    rho = float(params["rho"])
-    horizon = float(params["horizon"])
-    net = QueueingNetwork(
-        [ClassConfig(0, Exponential(1.0), arrival_rate=rho)],
-        [StationConfig(discipline="priority", priority=(0,))],
-    )
-    theory = mm1_metrics(rho, 1.0)
-    results = lockstep_network_simulations(
-        net, horizon, [np.random.default_rng(ss) for ss in seeds]
-    )
-    rows = []
-    for res in results:
-        rows.append(
-            {
-                "L_sim": float(res.mean_queue_lengths[0]),
-                "Wq_sim": float(res.mean_waits[0]),
-                "L_abs_rel_err": float(
-                    abs(res.mean_queue_lengths[0] / theory["L"] - 1.0)
-                ),
-                "Wq_abs_rel_err": float(abs(res.mean_waits[0] / theory["Wq"] - 1.0)),
-            }
-        )
-    return rows
+    """``direct`` kernel for A2: runs ``simulate_a2`` per replication."""
+    return [simulate_a2(ss, params) for ss in seeds]
 
 
 @PACK.kernel(

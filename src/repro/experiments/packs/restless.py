@@ -235,7 +235,6 @@ def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     bit-for-bit equal to ``simulate_e8`` on the same seeds.
     """
     from repro.bandits import average_relaxation_bound, myopic_rule, whittle_rule
-    from repro.experiments.scenarios import _e8_project
 
     proj = _e8_project()
     alpha = float(params["alpha"])

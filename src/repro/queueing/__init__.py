@@ -8,7 +8,7 @@
   computation that reduces to cµ without feedback).
 * :mod:`repro.queueing.network` — a multiclass queueing-network simulator
   (multiple stations, probabilistic routing, preemptive/nonpreemptive
-  priority, FIFO), built on :mod:`repro.sim`.
+  priority, FIFO, LCFS) with its own flat min-scan event loop.
 * :mod:`repro.queueing.stability` — the stability problem [9]: the
   Rybko–Stolyar network and the virtual-station load criterion.
 * :mod:`repro.queueing.fluid` — fluid approximations [11, 3]: trajectory

@@ -17,14 +17,14 @@ cµ, Klimov, and fluid-derived rules plug in directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.distributions.base import Distribution
-from repro.sim.engine import Simulator
-from repro.sim.monitor import TallyMonitor, TimeWeightedMonitor
+from repro.distributions.continuous import Exponential
 from repro.utils.validation import check_substochastic_matrix
 
 __all__ = [
@@ -141,18 +141,6 @@ class NetworkResult:
     trajectory: np.ndarray | None = None  # optional (time, total jobs) samples
 
 
-class _Jb:
-    """Mutable in-flight job record."""
-
-    __slots__ = ("cls", "arrived", "remaining", "started")
-
-    def __init__(self, cls: int, arrived: float):
-        self.cls = cls
-        self.arrived = arrived
-        self.remaining = -1.0  # sampled at first service start
-        self.started = -1.0
-
-
 def simulate_network(
     network: QueueingNetwork,
     horizon: float,
@@ -168,160 +156,265 @@ def simulate_network(
     Statistics are reset at ``warmup_fraction * horizon``. For unstable
     systems the estimates do not converge, but ``final_backlog`` /
     ``peak_backlog`` and the optional trajectory expose the divergence
-    (E13's measurement).
+    (E13's measurement). The trajectory holds ``(time, total jobs)``
+    snapshots from time 0 on, spaced ``horizon / trajectory_points``
+    apart up to the horizon; each is taken after every event at or
+    before its time, and snapshots count toward ``max_events`` like
+    every other event.
+
+    A class whose first inter-arrival time is infinite never arrives: a
+    positive but subnormal ``arrival_rate`` (``1.0 / rate`` overflows)
+    gives the rate-0 answer, after consuming that one draw.
+
+    The engine is a min-scan over the live events (the pending arrival
+    per class, one completion per busy server, the warm-up reset and the
+    next snapshot) in ``(time, priority, seq)`` order: the warm-up reset
+    (priority -10) wins time ties, snapshots (priority 10) lose them, and
+    arrivals and completions (priority 0) tie-break on scheduling order.
+    Every draw is made when the event that needs it happens, so ``rng``
+    is left exactly after the run's last draw; E12's rho sweep carries
+    one generator from run to run and relies on this.
     """
     n = network.n_classes
-    sim = Simulator()
-    queues: list[list[_Jb]] = [[] for _ in range(n)]
-    # per-station: list of (job, completion_event, start_time) per busy server
-    busy: list[list] = [[] for _ in network.stations]
-    qmon = [TimeWeightedMonitor() for _ in range(n)]
-    wmon = [TallyMonitor() for _ in range(n)]
-    visits = np.zeros(n, dtype=np.int64)
-    total_in_system = TimeWeightedMonitor()
+    classes = network.classes
+    stations = network.stations
+    K = len(stations)
+    rexp = rng.exponential
+    rrand = rng.random
+    inf = math.inf
+    cum = np.cumsum(network.routing, axis=1)
+    cum_rows = [list(cum[j]) for j in range(n)]
+    row_last = [float(cum[j, -1]) for j in range(n)]
+    # Exponential services collapse to one bound rng.exponential call with
+    # the very scale Exponential.sample computes (the same draw, without
+    # the method call); every other family keeps its own sample method.
+    samplers = [
+        (True, 1.0 / c.service.rate)
+        if type(c.service) is Exponential
+        else (False, c.service.sample)
+        for c in classes
+    ]
+    station_of = [c.station for c in classes]
+    prio_pos = [{c: p for p, c in enumerate(st.priority)} for st in stations]
+    station_classes = [[j for j in range(n) if station_of[j] == k] for k in range(K)]
+    # integer discipline codes keep the hot loop off string compares:
+    # 0 priority, 1 preemptive, 2 fifo, 3 lcfs
+    codes = {"priority": 0, "preemptive": 1, "fifo": 2, "lcfs": 3}
+    disc_codes = [codes[st.discipline] for st in stations]
+    n_servers = [st.n_servers for st in stations]
+    priorities = [list(st.priority) for st in stations]
+    # jobs are [cls, arrived, remaining, started] (remaining is sampled at
+    # the first service start); busy entries are
+    # [job, completion_time, completion_seq, start_time]
+    queues: list[list] = [[] for _ in range(n)]
+    busy: list[list] = [[] for _ in range(K)]
+    qlevel = [0.0] * n
+    qarea = [0.0] * n
+    qlast = [0.0] * n
+    mon_start = 0.0
+    wcount = [0] * n
+    wsum = [0.0] * n
+    wmean = [0.0] * n
+    visits = [0] * n
+    tlevel = 0.0
+    tpeak = 0.0
+    seq = 0
+    ascale = [(1.0 / c.arrival_rate) if c.arrival_rate > 0 else None for c in classes]
+    arr_time = [inf] * n
+    arr_seq = [0] * n
+    for j in range(n):
+        if ascale[j] is not None:
+            arr_time[j] = rexp(ascale[j])
+            arr_seq[j] = seq
+            seq += 1
+    warmup = warmup_fraction * horizon
+    wu_time = warmup if warmup > 0 else None
     traj_t: list[float] = []
     traj_q: list[float] = []
+    snap_time = 0.0 if record_trajectory else inf
+    step = horizon / trajectory_points if record_trajectory else inf
 
-    prio_pos: list[dict[int, int]] = []
-    for st in network.stations:
-        prio_pos.append({c: p for p, c in enumerate(st.priority)})
-
-    cum_routing = np.cumsum(network.routing, axis=1)
-
-    def class_priority(k: int, cls: int) -> int:
-        return prio_pos[k].get(cls, 0)
-
-    def pick_next(k: int) -> _Jb | None:
-        st = network.stations[k]
-        if st.discipline in ("fifo", "lcfs"):
-            newest = st.discipline == "lcfs"
-            best, best_cls, best_pos = None, -1, -1
-            for j in range(n):
-                if network.classes[j].station == k and queues[j]:
-                    pos = -1 if newest else 0
-                    cand = queues[j][pos]
-                    if best is None or (
-                        cand.arrived > best.arrived
-                        if newest
-                        else cand.arrived < best.arrived
-                    ):
-                        best, best_cls, best_pos = cand, j, pos
-            if best is not None:
-                queues[best_cls].pop(best_pos)
-            return best
-        for cls in network.stations[k].priority:
-            if queues[cls]:
-                return queues[cls].pop(0)
-        return None
-
-    def start_service(k: int, job: _Jb) -> None:
-        if job.remaining < 0:
-            job.remaining = float(network.classes[job.cls].service.sample(rng))
-        if job.started < 0:
-            job.started = sim.now
-            wmon[job.cls].record(sim.now - job.arrived)
-        entry = [job, None, sim.now]
-        entry[1] = sim.schedule(job.remaining, lambda e=entry: complete(k, e))
-        busy[k].append(entry)
-
-    def complete(k: int, entry) -> None:
-        job = entry[0]
-        busy[k].remove(entry)
-        visits[job.cls] += 1
-        leave_class(job.cls)
-        # route
-        u = rng.random()
-        row = cum_routing[job.cls]
-        if u < row[-1]:
-            nxt = int(np.searchsorted(row, u, side="right"))
-            enter_class(nxt, _Jb(nxt, sim.now))
+    for _ in range(max_events):
+        # min-scan over the live events. The warm-up reset is seeded as the
+        # incumbent so its -10 priority wins time ties (bkind 3 suppresses
+        # seq comparisons against it); arrivals and completions share
+        # priority 0 and tie-break on seq alone.
+        bs = -1
+        bkind = 0  # 1 = arrival, 2 = completion, 3 = warm-up, 4 = snapshot
+        bj = -1
+        bentry = None
+        if wu_time is not None:
+            bt = wu_time
+            bkind = 3
         else:
-            total_in_system.increment(sim.now, -1.0)
-        serve_if_possible(k)
+            bt = inf
+        for j in range(n):
+            t = arr_time[j]
+            if t < bt or (t == bt and bkind != 3 and arr_seq[j] < bs):
+                bt = t
+                bs = arr_seq[j]
+                bkind = 1
+                bj = j
+        for k in range(K):
+            for e in busy[k]:
+                t = e[1]
+                if t < bt or (t == bt and bkind != 3 and e[2] < bs):
+                    bt = t
+                    bs = e[2]
+                    bkind = 2
+                    bk = k
+                    bentry = e
+        if snap_time < bt:
+            # priority 10: a snapshot only wins when strictly earlier
+            bt = snap_time
+            bkind = 4
+        if bt > horizon:
+            break
+        now = bt
+        if bkind <= 2:
+            # --- arrival or completion: find the class entering, if any ---
+            if bkind == 1:
+                ent = bj
+                tlevel += 1.0
+                if tlevel > tpeak:
+                    tpeak = tlevel
+            else:
+                k = bk
+                busy_k = busy[k]
+                job = bentry[0]
+                busy_k.remove(bentry)
+                cls = job[0]
+                visits[cls] += 1
+                qarea[cls] += qlevel[cls] * (now - qlast[cls])
+                qlevel[cls] -= 1.0
+                qlast[cls] = now
+                u = rrand()
+                if u < row_last[cls]:
+                    ent = bisect_right(cum_rows[cls], u)
+                else:
+                    ent = -1
+                    tlevel -= 1.0
+            if ent >= 0:
+                # --- job enters class ent: start, preempt, or queue -------
+                job = [ent, now, -1.0, -1.0]
+                qarea[ent] += qlevel[ent] * (now - qlast[ent])
+                qlevel[ent] += 1.0
+                qlast[ent] = now
+                ke = station_of[ent]
+                busy_e = busy[ke]
+                start = len(busy_e) < n_servers[ke]
+                if not start and disc_codes[ke] == 1:
+                    # preemptive: bump the worst job in service if outranked
+                    pp = prio_pos[ke]
+                    worst = None
+                    worst_p = -1
+                    for e in busy_e:
+                        p = pp.get(e[0][0], 0)
+                        if worst is None or p > worst_p:
+                            worst, worst_p = e, p
+                    if pp.get(ent, 0) < worst_p:
+                        wjob = worst[0]
+                        busy_e.remove(worst)
+                        wjob[2] -= now - worst[3]
+                        if wjob[2] < 1e-12:
+                            wjob[2] = 1e-12
+                        queues[wjob[0]].insert(0, wjob)
+                        start = True
+                if start:
+                    is_exp, s = samplers[ent]
+                    rem = float(rexp(s)) if is_exp else float(s(rng))
+                    job[2] = rem
+                    job[3] = now
+                    wcount[ent] += 1
+                    wsum[ent] += 1.0
+                    wmean[ent] += (1.0 / wsum[ent]) * ((now - job[1]) - wmean[ent])
+                    busy_e.append([job, now + rem, seq, now])
+                    seq += 1
+                else:
+                    queues[ent].append(job)
+            if bkind == 1:
+                arr_time[ent] = now + rexp(ascale[ent])
+                arr_seq[ent] = seq
+                seq += 1
+            else:
+                # --- backfill freed servers from the queues ---------------
+                ns = n_servers[k]
+                d = disc_codes[k]
+                while len(busy_k) < ns:
+                    njob = None
+                    if d <= 1:
+                        for cls2 in priorities[k]:
+                            q2 = queues[cls2]
+                            if q2:
+                                njob = q2.pop(0)
+                                break
+                    else:
+                        newest = d == 3
+                        best_cls = -1
+                        best_pos = -1
+                        for j2 in station_classes[k]:
+                            q2 = queues[j2]
+                            if q2:
+                                pos = -1 if newest else 0
+                                cand = q2[pos]
+                                if njob is None or (
+                                    cand[1] > njob[1] if newest else cand[1] < njob[1]
+                                ):
+                                    njob, best_cls, best_pos = cand, j2, pos
+                        if njob is not None:
+                            queues[best_cls].pop(best_pos)
+                    if njob is None:
+                        break
+                    rem = njob[2]
+                    if rem < 0:
+                        is_exp, s = samplers[njob[0]]
+                        rem = float(rexp(s)) if is_exp else float(s(rng))
+                        njob[2] = rem
+                    if njob[3] < 0:
+                        njob[3] = now
+                        cls2 = njob[0]
+                        wcount[cls2] += 1
+                        wsum[cls2] += 1.0
+                        wmean[cls2] += (1.0 / wsum[cls2]) * ((now - njob[1]) - wmean[cls2])
+                    busy_k.append([njob, now + rem, seq, now])
+                    seq += 1
+        elif bkind == 3:
+            # --- warm-up reset --------------------------------------------
+            wu_time = None
+            for j in range(n):
+                qarea[j] = 0.0
+                qlast[j] = now
+                wcount[j] = 0
+                wsum[j] = 0.0
+                wmean[j] = 0.0
+                visits[j] = 0
+            mon_start = now
+        else:
+            # --- trajectory snapshot --------------------------------------
+            traj_t.append(now)
+            traj_q.append(tlevel)
+            snap_time = now + step if now + step <= horizon else inf
 
-    def leave_class(cls: int) -> None:
-        qmon[cls].increment(sim.now, -1.0)
-
-    def enter_class(cls: int, job: _Jb) -> None:
-        qmon[cls].increment(sim.now, +1.0)
-        k = network.classes[cls].station
-        st = network.stations[k]
-        if len(busy[k]) < st.n_servers:
-            start_service(k, job)
-            return
-        if st.discipline == "preemptive":
-            # preempt the lowest-priority running job if strictly lower
-            worst = max(busy[k], key=lambda e: class_priority(k, e[0].cls))
-            if class_priority(k, cls) < class_priority(k, worst[0].cls):
-                wjob, wev, wstart = worst
-                wev.cancel()
-                busy[k].remove(worst)
-                wjob.remaining -= sim.now - wstart
-                wjob.remaining = max(wjob.remaining, 1e-12)
-                queues[wjob.cls].insert(0, wjob)
-                start_service(k, job)
-                return
-        queues[cls].append(job)
-
-    def serve_if_possible(k: int) -> None:
-        st = network.stations[k]
-        while len(busy[k]) < st.n_servers:
-            job = pick_next(k)
-            if job is None:
-                return
-            start_service(k, job)
-
-    def exo_arrival(cls: int) -> None:
-        rate = network.classes[cls].arrival_rate
-        total_in_system.increment(sim.now, +1.0)
-        enter_class(cls, _Jb(cls, sim.now))
-        sim.schedule(rng.exponential(1.0 / rate), lambda: exo_arrival(cls))
-
-    for j in range(n):
-        if network.classes[j].arrival_rate > 0:
-            sim.schedule(
-                rng.exponential(1.0 / network.classes[j].arrival_rate),
-                lambda j=j: exo_arrival(j),
-            )
-
-    warmup = warmup_fraction * horizon
-
-    def end_warmup() -> None:
-        for m in qmon:
-            m.reset(sim.now)
-        for m in wmon:
-            m.reset()
-        visits[:] = 0
-
-    if warmup > 0:
-        sim.schedule(warmup, end_warmup, priority=-10)
-
-    if record_trajectory:
-        step = horizon / trajectory_points
-
-        def snapshot() -> None:
-            traj_t.append(sim.now)
-            traj_q.append(total_in_system.level)
-            if sim.now + step <= horizon:
-                sim.schedule(step, snapshot, priority=10)
-
-        sim.schedule(0.0, snapshot, priority=10)
-
-    sim.run(until=horizon, max_events=max_events)
-
-    Lbar = np.array([m.time_average(horizon) for m in qmon])
-    W = np.array([m.mean if m.count else math.nan for m in wmon])
-    costs = np.array([c.cost for c in network.classes])
-    traj = np.column_stack([traj_t, traj_q]) if record_trajectory else None
+    denom = horizon - mon_start
+    Lbar = np.array(
+        [
+            (qarea[j] + qlevel[j] * (horizon - qlast[j])) / denom
+            if denom > 0
+            else math.nan
+            for j in range(n)
+        ]
+    )
+    W = np.array([wmean[j] if wcount[j] else math.nan for j in range(n)])
+    costs = np.array([c.cost for c in classes])
     return NetworkResult(
         mean_queue_lengths=Lbar,
         mean_waits=W,
-        visit_counts=visits.copy(),
+        visit_counts=np.array(visits, dtype=np.int64),
         cost_rate=float(np.dot(costs, Lbar)),
-        final_backlog=float(total_in_system.level),
-        peak_backlog=float(total_in_system.peak),
+        final_backlog=float(tlevel),
+        peak_backlog=float(tpeak),
         horizon=horizon,
-        trajectory=traj,
+        trajectory=np.column_stack([traj_t, traj_q]) if record_trajectory else None,
     )
 
 

@@ -22,16 +22,21 @@ and the inner loop stays tight.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.distributions.base import Distribution
+from repro.distributions.continuous import Deterministic, Exponential
 
 __all__ = ["PollingSystem", "PollingResult", "pseudo_conservation_rhs"]
 
 _POLICIES = ("exhaustive", "gated", "limited")
+
+# pre-drawn standard exponentials per block of service times
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,29 @@ class PollingSystem:
         *,
         warmup_fraction: float = 0.1,
     ) -> PollingResult:
-        """Simulate until ``horizon`` (server time) and return estimates."""
+        """Simulate until ``horizon`` (server time) and return estimates.
+
+        The arrival streams are pre-generated first. After that, each
+        switchover and each service takes one ``sample(rng)`` draw at the
+        moment the server needs it. When every service is
+        :class:`~repro.distributions.Exponential` and every switchover is
+        :class:`~repro.distributions.Deterministic` (so services are the
+        only draws left), service times are served from pre-drawn
+        ``standard_exponential`` blocks times the queue's mean instead:
+        numpy computes ``rng.exponential(scale)`` as one multiply of a
+        standard exponential from the same stream, so these are the same
+        numbers, bit for bit, at a fraction of the call cost.
+
+        ``rng`` is consumed: with pre-drawn blocks it ends ahead of the
+        last draw the run used, so do not draw further results from it.
+        """
         n = self.n_queues
         # Pre-generate arrival streams with margin; extend lazily if needed.
-        arrivals: list[np.ndarray] = []
+        arrivals: list[list[float]] = []
         for i in range(n):
             lam = self.arrival_rates[i]
             if lam == 0:
-                arrivals.append(np.array([np.inf]))
+                arrivals.append([np.inf])
                 continue
             m = int(lam * horizon * 1.3) + 50
             gaps = rng.exponential(1.0 / lam, size=m)
@@ -116,53 +136,80 @@ class PollingSystem:
             while ts[-1] < horizon:
                 more = rng.exponential(1.0 / lam, size=m // 2 + 10)
                 ts = np.concatenate([ts, ts[-1] + np.cumsum(more)])
-            arrivals.append(ts)
-        heads = [0] * n  # next-arrival pointer per queue
-        pending: list[list[float]] = [[] for _ in range(n)]  # arrival times waiting
+            arrivals.append(ts.tolist())
+        sizes = [len(a) for a in arrivals]
+        blocks = all(type(s) is Exponential for s in self.services) and all(
+            type(s) is Deterministic for s in self.switchovers
+        )
+        if blocks:
+            svc_scales = [1.0 / s.rate for s in self.services]
+            sw_values = [float(s.value) for s in self.switchovers]
+            std_exp = rng.standard_exponential
+            buf = std_exp(_BLOCK).tolist()
+        bpos = 0
+        # the customers waiting at queue i are arrivals[i][serve_ptr[i]:
+        # admit_ptr[i]]: arrivals are served in order, so two pointers
+        # replace a pending list
+        admit_ptr = [0] * n
+        serve_ptr = [0] * n
         warmup = warmup_fraction * horizon
-        waits = np.zeros(n)
-        served = np.zeros(n, dtype=np.int64)
+        waits = [0.0] * n
+        served = [0] * n
         t = 0.0
         i = 0
         cycles = 0
         cycle_start = 0.0
         cycle_durations: list[float] = []
-
-        def admit(i: int, upto: float) -> None:
-            ts = arrivals[i]
-            h = heads[i]
-            while h < ts.size and ts[h] <= upto:
-                pending[i].append(ts[h])
-                h += 1
-            heads[i] = h
+        gated = self.policy == "gated"
+        limited = self.policy == "limited"
+        h4 = horizon * 4
 
         while t < horizon:
             # switch into queue i
-            t += float(self.switchovers[i].sample(rng))
-            admit(i, t)
-            if self.policy == "gated":
-                batch = len(pending[i])
-            elif self.policy == "limited":
-                batch = min(1, len(pending[i]))
+            if blocks:
+                t += sw_values[i]
+            else:
+                t += float(self.switchovers[i].sample(rng))
+            ts = arrivals[i]
+            sz = sizes[i]
+            h = admit_ptr[i]
+            if h < sz and ts[h] <= t:
+                h = bisect_right(ts, t, h)
+            sp = serve_ptr[i]
+            if gated:
+                batch = h - sp
+            elif limited:
+                batch = 1 if h > sp else 0
             else:
                 batch = -1  # exhaustive: until empty
-            served_this_visit = 0
-            while pending[i] and (batch < 0 or served_this_visit < batch):
-                arr = pending[i].pop(0)
+            sv = 0
+            while h > sp and (batch < 0 or sv < batch):
+                arr = ts[sp]
+                sp += 1
                 if t > warmup:
                     waits[i] += t - arr
                     served[i] += 1
-                t += float(self.services[i].sample(rng))
-                served_this_visit += 1
-                admit(i, t)
-                if batch < 0 and t > horizon * 4:  # runaway guard
+                if blocks:
+                    if bpos == _BLOCK:
+                        buf = std_exp(_BLOCK).tolist()
+                        bpos = 0
+                    t += svc_scales[i] * buf[bpos]
+                    bpos += 1
+                else:
+                    t += float(self.services[i].sample(rng))
+                sv += 1
+                while h < sz and ts[h] <= t:
+                    h += 1
+                if batch < 0 and t > h4:  # runaway guard
                     raise RuntimeError("polling simulation diverged")
+            admit_ptr[i] = h
+            serve_ptr[i] = sp
             i = (i + 1) % n
             if i == 0:
                 if (
                     self._switchover_always_zero
                     and t == cycle_start
-                    and not any(pending)
+                    and not any(admit_ptr[j] > serve_ptr[j] for j in range(n))
                 ):
                     # Zero-length sweep with a.s.-zero switchovers: the
                     # server would spin at this instant forever (with merely
@@ -173,9 +220,9 @@ class PollingSystem:
                     # time).
                     nxt = min(
                         (
-                            float(arrivals[j][heads[j]])
+                            float(arrivals[j][admit_ptr[j]])
                             for j in range(n)
-                            if heads[j] < arrivals[j].size
+                            if admit_ptr[j] < sizes[j]
                         ),
                         default=np.inf,
                     )
@@ -187,6 +234,8 @@ class PollingSystem:
                 cycle_start = t
                 cycles += 1
 
+        waits = np.array(waits)
+        served = np.array(served, dtype=np.int64)
         mean_waits = np.where(served > 0, waits / np.maximum(served, 1), np.nan)
         rho_i = self.arrival_rates * np.array([s.mean for s in self.services])
         weighted = float(np.nansum(rho_i * mean_waits))

@@ -14,29 +14,27 @@ kernel.
 
 Two ingredients live here:
 
-* the **kernel registry** — scenario kernels (defined in
-  :mod:`repro.experiments.backends`) register under their scenario id via
-  :func:`vectorized_kernel`; the runner and CLI discover them through
-  :func:`has_kernel` / :func:`get_kernel`;
+* the **kernel registry** — scenario kernels (defined in the scenario
+  packs under :mod:`repro.experiments.packs`) register under their
+  scenario id via :func:`vectorized_kernel`; the runner and CLI discover
+  them through :func:`has_kernel` / :func:`get_kernel`;
 * **generic batched primitives** — scenario-agnostic numerics shared by
   the kernels: batched sequence flowtimes and brute-force permutation
   minima, the batched subset DP for exponential parallel machines,
-  lockstep (all replications advance one event per step) simulators for
-  in-tree list scheduling and restless-fleet rollouts, batched
-  product-/switching-MDP assembly, batched flow-shop recurrences, and a
-  batched restart-in-state Gittins solver;
-* **lockstep queueing simulators** — batched replacements for the
-  event-driven queueing machinery: :func:`lockstep_network_simulations`
-  (a flat, specialised re-implementation of
-  :func:`repro.queueing.network.simulate_network` that runs a whole
-  replication batch with per-replication clocks, queue windows and
-  server states kept in flat per-replication storage) and
-  :func:`lockstep_polling_simulations` (ditto for
-  :class:`repro.queueing.polling.PollingSystem`, with the service draws
-  consumed from pre-drawn standard-exponential blocks), plus
-  :func:`lockstep_heterogeneous_rollouts` for heterogeneous restless
-  fleets, which advances every replication's fleet one epoch per step on
-  shared ``(reps, projects, states)`` arrays.
+  lockstep (all replications advance one event or epoch per step)
+  simulators for in-tree list scheduling and restless-fleet rollouts
+  (:func:`lockstep_heterogeneous_rollouts` advances every replication's
+  heterogeneous fleet on shared ``(reps, projects, states)`` arrays),
+  batched product-/switching-MDP assembly, batched flow-shop
+  recurrences, and a batched restart-in-state Gittins solver.
+
+The queueing scenarios (E10–E15, A2) have no primitive here: their
+simulators, :func:`repro.queueing.network.simulate_network` and
+:meth:`repro.queueing.polling.PollingSystem.simulate`, are already the
+fast engines.  The E13/E14 kernels hoist the deterministic fluid
+analysis and call them per replication (``cached`` mode); the other
+queueing kernels call the scenario's own ``simulate`` per replication
+(``direct`` mode).
 
 Bitwise-equality rules the primitives rely on (verified by the
 equivalence tests, so a platform where one failed would fail loudly):
@@ -75,7 +73,6 @@ equivalence tests, so a platform where one failed would fail loudly):
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -94,8 +91,6 @@ __all__ = [
     "subset_dp_batch",
     "lockstep_intree_makespans",
     "lockstep_restless_rollouts",
-    "lockstep_network_simulations",
-    "lockstep_polling_simulations",
     "lockstep_heterogeneous_rollouts",
     "batched_product_mdp",
     "batched_switching_mdp",
@@ -108,7 +103,7 @@ BatchSimulateFn = Callable[
     [Sequence[np.random.SeedSequence], Mapping[str, Any]], "list[dict[str, float]]"
 ]
 
-KERNEL_MODES = ("batched", "cached", "lockstep")
+KERNEL_MODES = ("batched", "cached", "lockstep", "direct")
 
 
 @dataclass(frozen=True)
@@ -118,15 +113,19 @@ class VectorizedKernel:
     ``mode`` is ``"batched"`` when the kernel genuinely vectorizes the
     per-replication computation across replications (expect a large
     speedup); ``"lockstep"`` when the scenario is event-/epoch-driven and
-    the kernel advances the replication batch through the lockstep
-    queueing/rollout simulators in this module instead of the generic
-    event calendar (expect a solid constant-factor speedup from the
-    specialised simulators, bounded by any per-replication analysis the
-    scenario also performs); or ``"cached"`` when the scenario is
-    dominated by work that is identical across replications — the kernel
-    hoists that shared computation out of the loop and leaves the
-    per-replication stochastic part on the event-driven machinery (expect
-    a speedup proportional to the hoisted fraction, which may be modest).
+    the kernel advances the whole replication batch one event or epoch
+    per step through the lockstep rollout simulators in this module
+    (expect a solid constant-factor speedup, bounded by any
+    per-replication analysis the scenario also performs); or
+    ``"cached"`` when the scenario is dominated by work that is
+    identical across replications — the kernel hoists that shared
+    computation out of the loop and leaves the per-replication
+    stochastic part on the scenario's own simulator (expect a speedup
+    proportional to the hoisted fraction, which may be modest); or
+    ``"direct"`` when nothing is worth hoisting — the kernel calls the
+    scenario's own ``simulate`` per replication, so the scenario still
+    runs on (and ``auto`` still resolves to) the vectorized backend
+    (expect no speedup).
     All modes are bit-for-bit equivalent to the event backend.
     """
 
@@ -607,622 +606,6 @@ def batched_switching_mdp(
                 cols[nxt_local] = index_of[(tuple(nxt_core), a)]
             T[:, a, i, cols] = Ps[a][:, core[a], :]
     return T, R, states
-
-
-# ---------------------------------------------------------------------------
-# Lockstep multiclass queueing-network simulation (E10–E14, A2 families)
-# ---------------------------------------------------------------------------
-
-
-class _FlatNetwork:
-    """Replication-invariant tables for the flat network simulator,
-    computed once per batch: cumulative routing rows, service samplers,
-    arrival scales, and per-station discipline/priority structures."""
-
-    __slots__ = (
-        "network",
-        "cum_rows",
-        "row_last",
-        "costs",
-        "ascale",
-        "samplers",
-        "station_of",
-        "prio_pos",
-        "station_classes",
-        "disciplines",
-        "disc_codes",
-        "n_servers",
-        "priorities",
-    )
-
-    def __init__(self, network):
-        from repro.distributions.continuous import Exponential
-
-        self.network = network
-        n = network.n_classes
-        classes = network.classes
-        cum = np.cumsum(network.routing, axis=1)
-        self.cum_rows = [list(cum[j]) for j in range(n)]
-        self.row_last = [float(cum[j, -1]) for j in range(n)]
-        self.costs = np.array([c.cost for c in classes])
-        self.ascale = [
-            (1.0 / c.arrival_rate) if c.arrival_rate > 0 else None for c in classes
-        ]
-        # Exponential services collapse to one bound rng.exponential call
-        # with the very scale Exponential.sample computes (1.0 / rate);
-        # every other family keeps its own sample method — either way the
-        # consumed draws are the event path's.
-        self.samplers = []
-        for c in classes:
-            if type(c.service) is Exponential:
-                self.samplers.append((True, 1.0 / c.service.rate))
-            else:
-                self.samplers.append((False, c.service.sample))
-        self.station_of = [c.station for c in classes]
-        self.prio_pos = [
-            {c: p for p, c in enumerate(st.priority)} for st in network.stations
-        ]
-        self.station_classes = [
-            [j for j in range(n) if classes[j].station == k]
-            for k in range(len(network.stations))
-        ]
-        self.disciplines = [st.discipline for st in network.stations]
-        # integer discipline codes keep the hot loop off string compares:
-        # 0 priority, 1 preemptive, 2 fifo, 3 lcfs
-        codes = {"priority": 0, "preemptive": 1, "fifo": 2, "lcfs": 3}
-        self.disc_codes = [codes[st.discipline] for st in network.stations]
-        self.n_servers = [st.n_servers for st in network.stations]
-        self.priorities = [list(st.priority) for st in network.stations]
-
-
-def _flat_network_run(prep, horizon, rng, warmup_fraction, max_events):
-    """One replication of the flat network simulator.
-
-    A specialised mirror of :func:`repro.queueing.network.simulate_network`
-    with the generic event calendar replaced by a min-scan over the live
-    events (the pending arrival per class, one completion per busy server,
-    the warm-up reset) ordered by the same ``(time, priority, seq)`` key,
-    the monitors replaced by inline float accumulators performing the
-    identical arithmetic, and every RNG draw made by the same call at the
-    same position in the stream.  The event dispatch is one flat loop —
-    service starts, class entry and queue picks are inlined rather than
-    helper closures, pending arrivals sit in a plain float list (``inf``
-    for classes without exogenous arrivals) so the min-scan is pure float
-    compares, and the heap's ``(time, priority, seq)`` tuple order is
-    replaced by equivalent scalar compares (priority is 0 for every live
-    event except the warm-up reset's -10, so "warm-up wins time ties,
-    everything else ties on seq").  Returns a
-    :class:`repro.queueing.network.NetworkResult`, bit-for-bit equal to
-    the event path's (including the post-run rng state).
-    """
-    import math as _math
-
-    from bisect import bisect_right
-
-    from repro.queueing.network import NetworkResult
-
-    net = prep.network
-    n = net.n_classes
-    K = len(net.stations)
-    rexp = rng.exponential
-    rrand = rng.random
-    samplers = prep.samplers
-    disc_codes = prep.disc_codes
-    n_servers = prep.n_servers
-    station_of = prep.station_of
-    ascale = prep.ascale
-    cum_rows = prep.cum_rows
-    row_last = prep.row_last
-    prio_pos = prep.prio_pos
-    station_classes = prep.station_classes
-    priorities = prep.priorities
-    inf = _math.inf
-    # jobs are [cls, arrived, remaining, started] (mirrors _Jb);
-    # busy entries are [job, completion_time, completion_seq, start_time]
-    queues: list[list] = [[] for _ in range(n)]
-    busy: list[list] = [[] for _ in range(K)]
-    qlevel = [0.0] * n
-    qarea = [0.0] * n
-    qlast = [0.0] * n
-    mon_start = 0.0
-    wcount = [0] * n
-    wsum = [0.0] * n
-    wmean = [0.0] * n
-    visits = [0] * n
-    tlevel = 0.0
-    tpeak = 0.0
-    seq = 0
-    now = 0.0
-    arr_time = [inf] * n
-    arr_seq = [0] * n
-    for j in range(n):
-        if ascale[j] is not None:
-            arr_time[j] = rexp(ascale[j])
-            arr_seq[j] = seq
-            seq += 1
-    warmup = warmup_fraction * horizon
-    wu_time = warmup if warmup > 0 else None
-    wu_seq = seq
-    if wu_time is not None:
-        seq += 1
-
-    for _ in range(max_events):
-        # min-scan over the live events by (time, priority, seq) — the
-        # exact heap order of the generic engine.  The warm-up reset is
-        # seeded as the incumbent so its -10 priority wins time ties
-        # (bkind 3 suppresses seq comparisons against it); arrivals and
-        # completions share priority 0 and tie-break on seq alone.
-        bs = -1
-        bkind = 0  # 1 = arrival, 2 = completion, 3 = warm-up
-        bj = -1
-        bentry = None
-        if wu_time is not None:
-            bt = wu_time
-            bkind = 3
-        else:
-            bt = inf
-        for j in range(n):
-            t = arr_time[j]
-            if t < bt or (t == bt and bkind != 3 and arr_seq[j] < bs):
-                bt = t
-                bs = arr_seq[j]
-                bkind = 1
-                bj = j
-        for k in range(K):
-            for e in busy[k]:
-                t = e[1]
-                if t < bt or (t == bt and bkind != 3 and e[2] < bs):
-                    bt = t
-                    bs = e[2]
-                    bkind = 2
-                    bk = k
-                    bentry = e
-        if bt > horizon:
-            now = horizon
-            break
-        now = bt
-        if bkind == 1:
-            # --- exogenous arrival of class bj ----------------------------
-            j = bj
-            tlevel += 1.0
-            if tlevel > tpeak:
-                tpeak = tlevel
-            job = [j, now, -1.0, -1.0]
-            qarea[j] += qlevel[j] * (now - qlast[j])
-            qlevel[j] += 1.0
-            qlast[j] = now
-            k = station_of[j]
-            busy_k = busy[k]
-            if len(busy_k) < n_servers[k]:
-                # idle server: start service on the fresh job
-                is_exp, s = samplers[j]
-                rem = float(rexp(s)) if is_exp else float(s(rng))
-                job[2] = rem
-                job[3] = now
-                wcount[j] += 1
-                wsum[j] += 1.0
-                wmean[j] += (1.0 / wsum[j]) * ((now - job[1]) - wmean[j])
-                busy_k.append([job, now + rem, seq, now])
-                seq += 1
-            else:
-                queued = True
-                if disc_codes[k] == 1:
-                    pp = prio_pos[k]
-                    worst = None
-                    worst_p = -1
-                    for e in busy_k:
-                        p = pp.get(e[0][0], 0)
-                        if worst is None or p > worst_p:
-                            worst, worst_p = e, p
-                    if pp.get(j, 0) < worst_p:
-                        wjob = worst[0]
-                        busy_k.remove(worst)
-                        wjob[2] -= now - worst[3]
-                        if wjob[2] < 1e-12:
-                            wjob[2] = 1e-12
-                        queues[wjob[0]].insert(0, wjob)
-                        is_exp, s = samplers[j]
-                        rem = float(rexp(s)) if is_exp else float(s(rng))
-                        job[2] = rem
-                        job[3] = now
-                        wcount[j] += 1
-                        wsum[j] += 1.0
-                        wmean[j] += (1.0 / wsum[j]) * ((now - job[1]) - wmean[j])
-                        busy_k.append([job, now + rem, seq, now])
-                        seq += 1
-                        queued = False
-                if queued:
-                    queues[j].append(job)
-            arr_time[j] = now + rexp(ascale[j])
-            arr_seq[j] = seq
-            seq += 1
-        elif bkind == 2:
-            # --- service completion at station bk -------------------------
-            k = bk
-            busy_k = busy[k]
-            job = bentry[0]
-            busy_k.remove(bentry)
-            cls = job[0]
-            visits[cls] += 1
-            qarea[cls] += qlevel[cls] * (now - qlast[cls])
-            qlevel[cls] -= 1.0
-            qlast[cls] = now
-            u = rrand()
-            if u < row_last[cls]:
-                # --- routed job enters class nxt (same entry logic) -------
-                nxt = bisect_right(cum_rows[cls], u)
-                job = [nxt, now, -1.0, -1.0]
-                qarea[nxt] += qlevel[nxt] * (now - qlast[nxt])
-                qlevel[nxt] += 1.0
-                qlast[nxt] = now
-                k2 = station_of[nxt]
-                busy_k2 = busy[k2]
-                if len(busy_k2) < n_servers[k2]:
-                    is_exp, s = samplers[nxt]
-                    rem = float(rexp(s)) if is_exp else float(s(rng))
-                    job[2] = rem
-                    job[3] = now
-                    wcount[nxt] += 1
-                    wsum[nxt] += 1.0
-                    wmean[nxt] += (1.0 / wsum[nxt]) * ((now - job[1]) - wmean[nxt])
-                    busy_k2.append([job, now + rem, seq, now])
-                    seq += 1
-                else:
-                    queued = True
-                    if disc_codes[k2] == 1:
-                        pp = prio_pos[k2]
-                        worst = None
-                        worst_p = -1
-                        for e in busy_k2:
-                            p = pp.get(e[0][0], 0)
-                            if worst is None or p > worst_p:
-                                worst, worst_p = e, p
-                        if pp.get(nxt, 0) < worst_p:
-                            wjob = worst[0]
-                            busy_k2.remove(worst)
-                            wjob[2] -= now - worst[3]
-                            if wjob[2] < 1e-12:
-                                wjob[2] = 1e-12
-                            queues[wjob[0]].insert(0, wjob)
-                            is_exp, s = samplers[nxt]
-                            rem = float(rexp(s)) if is_exp else float(s(rng))
-                            job[2] = rem
-                            job[3] = now
-                            wcount[nxt] += 1
-                            wsum[nxt] += 1.0
-                            wmean[nxt] += (1.0 / wsum[nxt]) * (
-                                (now - job[1]) - wmean[nxt]
-                            )
-                            busy_k2.append([job, now + rem, seq, now])
-                            seq += 1
-                            queued = False
-                    if queued:
-                        queues[nxt].append(job)
-            else:
-                tlevel -= 1.0
-                if tlevel > tpeak:
-                    tpeak = tlevel
-            # --- backfill freed servers from the queues -------------------
-            ns = n_servers[k]
-            d = disc_codes[k]
-            while len(busy_k) < ns:
-                njob = None
-                if d <= 1:
-                    for cls2 in priorities[k]:
-                        q2 = queues[cls2]
-                        if q2:
-                            njob = q2.pop(0)
-                            break
-                else:
-                    newest = d == 3
-                    best_cls = -1
-                    best_pos = -1
-                    for j2 in station_classes[k]:
-                        q2 = queues[j2]
-                        if q2:
-                            pos = -1 if newest else 0
-                            cand = q2[pos]
-                            if njob is None or (
-                                cand[1] > njob[1] if newest else cand[1] < njob[1]
-                            ):
-                                njob, best_cls, best_pos = cand, j2, pos
-                    if njob is not None:
-                        queues[best_cls].pop(best_pos)
-                if njob is None:
-                    break
-                rem = njob[2]
-                if rem < 0:
-                    is_exp, s = samplers[njob[0]]
-                    rem = float(rexp(s)) if is_exp else float(s(rng))
-                    njob[2] = rem
-                if njob[3] < 0:
-                    njob[3] = now
-                    cls2 = njob[0]
-                    wcount[cls2] += 1
-                    wsum[cls2] += 1.0
-                    wmean[cls2] += (1.0 / wsum[cls2]) * ((now - njob[1]) - wmean[cls2])
-                busy_k.append([njob, now + rem, seq, now])
-                seq += 1
-        else:
-            # --- warm-up reset --------------------------------------------
-            wu_time = None
-            for j in range(n):
-                qarea[j] = 0.0
-                qlast[j] = now
-                wcount[j] = 0
-                wsum[j] = 0.0
-                wmean[j] = 0.0
-                visits[j] = 0
-            mon_start = now
-
-    denom = horizon - mon_start
-    Lbar = np.array(
-        [
-            (qarea[j] + qlevel[j] * (horizon - qlast[j])) / denom
-            if denom > 0
-            else _math.nan
-            for j in range(n)
-        ]
-    )
-    W = np.array([wmean[j] if wcount[j] else _math.nan for j in range(n)])
-    return NetworkResult(
-        mean_queue_lengths=Lbar,
-        mean_waits=W,
-        visit_counts=np.array(visits, dtype=np.int64),
-        cost_rate=float(np.dot(prep.costs, Lbar)),
-        final_backlog=float(tlevel),
-        peak_backlog=float(tpeak),
-        horizon=horizon,
-    )
-
-
-def lockstep_network_simulations(
-    network,
-    horizon: float,
-    rngs: Sequence[np.random.Generator],
-    *,
-    warmup_fraction: float = 0.1,
-    max_events: int = 20_000_000,
-):
-    """Run one :func:`repro.queueing.network.simulate_network` replication
-    per generator in ``rngs`` through the flat simulator.
-
-    The replication-invariant tables (cumulative routing rows, service
-    samplers, discipline structures) are prepared once for the batch;
-    each replication then advances through its own event sequence on flat
-    per-replication state, consuming exactly the draws the event path
-    makes — so every returned :class:`NetworkResult` is bit-for-bit the
-    event path's, and each generator in ``rngs`` is left in exactly the
-    state the event path would leave it in (the property E12's sequential
-    rho sweep relies on).
-    """
-    prep = _FlatNetwork(network)
-    return [
-        _flat_network_run(prep, horizon, rng, warmup_fraction, max_events)
-        for rng in rngs
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Lockstep polling simulation (E15 family)
-# ---------------------------------------------------------------------------
-
-
-def _polling_visit_core(
-    ts, sz, t, h, sp, batch, sv, scale, buf, bpos, chunk, warmup, h4, waits, served, i
-):
-    """Serve one station visit of the flat polling simulator.
-
-    Advances the clock ``t`` through up to ``batch`` services (``-1`` =
-    exhaustive) of queue ``i``, consuming pre-drawn unit exponentials
-    from ``buf`` and admitting arrivals from the sorted ``ts`` into the
-    ``[sp, h)`` pending window, with the identical float arithmetic the
-    event path performs.  Returns ``(status, t, h, sp, sv, bpos)`` where
-    status 0 means the visit completed, 1 means the service buffer is
-    exhausted (the caller refills ``buf`` and re-enters — the refill then
-    sits at the same position of the rng stream as the event path's), and
-    2 means the exhaustive visit diverged past four horizons.
-
-    Deliberately written over flat scalars and indexable numerics only:
-    :func:`repro.sim.accel.jit_or_fallback` can compile it unchanged
-    (arrays in, nopython, no fastmath) while the default interpreted path
-    feeds it plain Python lists and floats.
-    """
-    while h > sp and (batch < 0 or sv < batch):
-        if bpos == chunk:
-            return 1, t, h, sp, sv, bpos
-        arr = ts[sp]
-        sp += 1
-        if t > warmup:
-            waits[i] += t - arr
-            served[i] += 1
-        t += scale * buf[bpos]
-        bpos += 1
-        sv += 1
-        while h < sz and ts[h] <= t:
-            h += 1
-        if batch < 0 and t > h4:
-            return 2, t, h, sp, sv, bpos
-    return 0, t, h, sp, sv, bpos
-
-
-def _flat_polling_run(
-    lam, svc_scales, sw_values, policy, horizon, rng, warmup_fraction, chunk=4096
-):
-    """One replication of the flat polling simulator (exponential
-    services, deterministic switchovers) — a mirror of
-    :meth:`repro.queueing.polling.PollingSystem.simulate`.
-
-    The arrival streams are pre-generated with the identical array draws;
-    after that the only randomness the event path consumes is one scalar
-    ``rng.exponential(scale_i)`` per service, which this mirror serves
-    from pre-drawn ``standard_exponential`` blocks multiplied by the
-    queue's scale (bit-identical; see the module equality rules).  The
-    pending customers of each queue form a contiguous window into its
-    arrival array, so the queue state is two integer pointers.  The
-    zero-switchover idle rule (a.s.-zero switchovers and an empty
-    zero-length sweep jump the clock to the next arrival and record no
-    cycle) is reproduced exactly.
-
-    The per-service loop lives in :func:`_polling_visit_core`; by default
-    it runs interpreted over plain Python floats and lists (arrival
-    times, the pre-drawn service buffer and the wait accumulators are
-    kept out of numpy, whose scalar indexing dominated the profile), and
-    under ``REPRO_NUMBA=1`` it is njit-compiled and fed numpy arrays
-    instead — identical IEEE arithmetic either way.
-    """
-    from repro.queueing.polling import PollingResult
-    from repro.sim import accel
-
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    arrivals = []
-    for i in range(n):
-        li = lam[i]
-        if li == 0:
-            arrivals.append(np.array([np.inf]))
-            continue
-        m = int(li * horizon * 1.3) + 50
-        gaps = rng.exponential(1.0 / li, size=m)
-        ts = np.cumsum(gaps)
-        while ts[-1] < horizon:
-            more = rng.exponential(1.0 / li, size=m // 2 + 10)
-            ts = np.concatenate([ts, ts[-1] + np.cumsum(more)])
-        arrivals.append(ts)
-    std_exp = rng.standard_exponential
-    core = accel.jit_or_fallback("polling_visit_core", _polling_visit_core)
-    compiled = core is not _polling_visit_core
-    if compiled:
-        try:  # warm the lazy compile; fall back if numba rejects the kernel
-            core(
-                np.array([np.inf]), 1, 0.0, 0, 0, 0, 0, 1.0, np.zeros(1), 0, 1,
-                0.0, 1.0, np.zeros(1), np.zeros(1, dtype=np.int64), 0,
-            )
-        except Exception:
-            core = _polling_visit_core
-            compiled = False
-    if compiled:
-        ts_all = arrivals
-        buf = std_exp(chunk)
-        waits = np.zeros(n)
-        served = np.zeros(n, dtype=np.int64)
-    else:
-        ts_all = [a.tolist() for a in arrivals]
-        buf = std_exp(chunk).tolist()
-        waits = [0.0] * n
-        served = [0] * n
-    sizes = [len(a) for a in ts_all]
-    sw_zero = all(v == 0.0 for v in sw_values)
-    admit_ptr = [0] * n  # the event path's `heads`
-    serve_ptr = [0] * n  # front of the pending window
-    warmup = warmup_fraction * horizon
-    t = 0.0
-    i = 0
-    cycles = 0
-    cycle_start = 0.0
-    cycle_durations: list[float] = []
-    buf_pos = 0
-    gated = policy == "gated"
-    limited = policy == "limited"
-    h4 = horizon * 4
-    while t < horizon:
-        t += sw_values[i]
-        ts = ts_all[i]
-        sz = sizes[i]
-        h = admit_ptr[i]
-        if h < sz and ts[h] <= t:
-            # identical to the event path's linear admit scan: ts is
-            # sorted, so the insertion point after everything <= t is
-            # exactly where the scan stops
-            h = bisect_right(ts, t, h)
-        sp = serve_ptr[i]
-        if gated:
-            batch = h - sp
-        elif limited:
-            batch = 1 if h > sp else 0
-        else:
-            batch = -1
-        if h > sp and batch != 0:
-            sv = 0
-            scale = svc_scales[i]
-            while True:
-                status, t, h, sp, sv, buf_pos = core(
-                    ts, sz, t, h, sp, batch, sv, scale, buf, buf_pos,
-                    chunk, warmup, h4, waits, served, i,
-                )
-                if status == 0:
-                    break
-                if status == 2:
-                    raise RuntimeError("polling simulation diverged")
-                buf = std_exp(chunk) if compiled else std_exp(chunk).tolist()
-                buf_pos = 0
-        admit_ptr[i] = h
-        serve_ptr[i] = sp
-        i = (i + 1) % n
-        if i == 0:
-            if (
-                sw_zero
-                and t == cycle_start
-                and not any(admit_ptr[j] > serve_ptr[j] for j in range(n))
-            ):
-                nxt = min(
-                    (
-                        float(ts_all[j][admit_ptr[j]])
-                        for j in range(n)
-                        if admit_ptr[j] < sizes[j]
-                    ),
-                    default=np.inf,
-                )
-                t = min(max(t, nxt), horizon)
-                cycle_start = t
-                continue
-            if cycles > 0:
-                cycle_durations.append(t - cycle_start)
-            cycle_start = t
-            cycles += 1
-    if not compiled:
-        waits = np.array(waits)
-        served = np.array(served, dtype=np.int64)
-    mean_waits = np.where(served > 0, waits / np.maximum(served, 1), np.nan)
-    rho_i = lam * np.asarray(svc_scales, dtype=float)
-    weighted = float(np.nansum(rho_i * mean_waits))
-    return PollingResult(
-        mean_waits=mean_waits,
-        served=served,
-        cycle_time=float(np.mean(cycle_durations)) if cycle_durations else np.nan,
-        weighted_wait_sum=weighted,
-    )
-
-
-def lockstep_polling_simulations(
-    arrival_rates,
-    service_rates,
-    switchover_values,
-    policy: str,
-    horizon: float,
-    rngs: Sequence[np.random.Generator],
-    *,
-    warmup_fraction: float = 0.1,
-):
-    """Run one polling replication per generator through the flat polling
-    simulator.
-
-    ``service_rates`` are the per-queue exponential service rates and
-    ``switchover_values`` the per-queue deterministic switchover times —
-    the structure :class:`PollingSystem` is exercised with throughout the
-    suite.  Each returned :class:`PollingResult` is bit-for-bit the event
-    path's for the same generator seed.  (Unlike the network simulator,
-    the pre-drawn service blocks leave the generators ahead of the event
-    path's final state — callers must treat them as consumed.)
-    """
-    scales = [1.0 / r for r in service_rates]
-    sw = [float(v) for v in switchover_values]
-    return [
-        _flat_polling_run(
-            arrival_rates, scales, sw, policy, horizon, rng, warmup_fraction
-        )
-        for rng in rngs
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ scenario's ``simulate`` function returns — same keys, identical floats.
 These tests enforce that promise for every registered kernel, through
 both the raw kernel interface and the runner, plus property-based tests
 that randomise the scenario parameters of the single-machine,
-parallel-machine, heavy-traffic (E12) and polling (E15) kernels.
+parallel-machine, heavy-traffic (E12) and polling (E15) kernels.  The
+queueing engines themselves (``simulate_network`` and
+``PollingSystem.simulate``) are checked bit-for-bit against the
+heap-calendar oracles in ``tests/queueing_oracles.py`` over randomised
+networks and polling systems.
 
 A failure here means a kernel (or a platform's numpy) broke one of the
 bitwise-equality rules documented in :mod:`repro.sim.vectorized` — the
@@ -127,7 +131,7 @@ def test_every_kernel_id_is_a_registered_scenario():
     registered = set(scenario_ids())
     for sid in kernel_ids():
         assert sid in registered
-        assert get_kernel(sid).mode in ("batched", "cached", "lockstep")
+        assert get_kernel(sid).mode in ("batched", "cached", "lockstep", "direct")
 
 
 def test_vectorized_chunking_cannot_change_results():
@@ -226,8 +230,8 @@ def test_property_heavy_traffic_kernel_equivalence(seed, rho_lo, rho_step, horiz
     horizon=st.floats(min_value=100.0, max_value=1500.0),
 )
 def test_property_polling_kernel_equivalence(seed, short, extra, horizon):
-    # randomised switchover times, *including exactly zero* — the flat
-    # polling engine must reproduce the zero-switchover idle rule
+    # randomised switchover times, *including exactly zero* — the kernel
+    # must reproduce the polling engine's zero-switchover idle rule
     sc = get_scenario("E15")
     params = sc.params(
         {"switchover_means": (short, short + extra), "horizon": horizon}
@@ -240,15 +244,94 @@ def test_property_polling_kernel_equivalence(seed, short, extra, horizon):
 @_PROPERTY_SETTINGS
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    policy=st.sampled_from(["exhaustive", "gated", "limited"]),
+    horizon=st.floats(min_value=100.0, max_value=1500.0),
+    data=st.data(),
+)
+def test_property_polling_engine_equivalence(seed, policy, horizon, data):
+    # engine-level coverage beyond E15: Erlang services and exponential or
+    # exactly-zero switchovers take the scalar-draw source, exponential
+    # services with deterministic switchovers the pre-drawn blocks —
+    # PollingSystem.simulate must match the pending-list oracle either way
+    from queueing_oracles import oracle_polling_simulate
+
+    from repro.distributions import Deterministic, Erlang, Exponential
+    from repro.queueing import PollingSystem
+
+    lam = [data.draw(st.floats(0.05, 0.3), label=f"lam{i}") for i in range(2)]
+    services = []
+    for i in range(2):
+        rate = data.draw(st.floats(1.2, 3.0), label=f"rate{i}")
+        if data.draw(st.booleans(), label=f"erlang{i}"):
+            services.append(Erlang(2, 2.0 * rate))
+        else:
+            services.append(Exponential(rate))
+    # switchovers: all exactly zero (the idle rule), deterministic and
+    # bounded away from zero, or exponential
+    kind = data.draw(st.sampled_from(["zero", "det", "exp"]), label="switchover")
+    if kind == "zero":
+        switchovers = [Deterministic(0.0), Deterministic(0.0)]
+    elif kind == "det":
+        switchovers = [
+            Deterministic(data.draw(st.floats(0.02, 0.5), label=f"sw{i}"))
+            for i in range(2)
+        ]
+    else:
+        switchovers = [
+            Exponential(data.draw(st.floats(2.0, 50.0), label=f"sw{i}"))
+            for i in range(2)
+        ]
+    system = PollingSystem(lam, services, switchovers, policy)
+    rng_oracle, rng_engine = np.random.default_rng(seed), np.random.default_rng(seed)
+    ev = oracle_polling_simulate(system, horizon, rng_oracle)
+    vec = system.simulate(horizon, rng_engine)
+    ctx = f"polling seed={seed} {policy} {kind}"
+    np.testing.assert_array_equal(ev.mean_waits, vec.mean_waits, err_msg=ctx)
+    np.testing.assert_array_equal(ev.served, vec.served, err_msg=ctx)
+    assert ev.cycle_time == vec.cycle_time or (
+        math.isnan(ev.cycle_time) and math.isnan(vec.cycle_time)
+    ), ctx
+    assert ev.weighted_wait_sum == vec.weighted_wait_sum, ctx
+    if kind == "exp" or any(type(s) is Erlang for s in services):
+        # scalar draws: the generator ends exactly where the oracle's does
+        assert rng_oracle.bit_generator.state == rng_engine.bit_generator.state
+
+
+def test_e15_polling_cases_take_the_block_draw_path():
+    # E15's systems (exponential services, deterministic switchovers) must
+    # serve their service times from pre-drawn standard-exponential
+    # blocks, the engine's fast draw source: the numbers equal the
+    # oracle's scalar draws, but the generator ends ahead of the oracle's
+    from queueing_oracles import oracle_polling_simulate
+
+    from repro.distributions import Deterministic, Exponential
+    from repro.queueing import PollingSystem
+
+    for policy in ("exhaustive", "gated", "limited"):
+        system = PollingSystem(
+            [0.3, 0.2],
+            [Exponential(2.0), Exponential(1.5)],
+            [Deterministic(0.1), Deterministic(0.1)],
+            policy,
+        )
+        rng_oracle, rng_engine = np.random.default_rng(5), np.random.default_rng(5)
+        ev = oracle_polling_simulate(system, 800.0, rng_oracle)
+        vec = system.simulate(800.0, rng_engine)
+        assert ev.weighted_wait_sum == vec.weighted_wait_sum, policy
+        assert rng_oracle.bit_generator.state != rng_engine.bit_generator.state, policy
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
     horizon=st.floats(min_value=50.0, max_value=250.0),
     sid=st.sampled_from(["E13", "E14"]),
 )
 def test_property_network_scenario_kernel_equivalence(seed, horizon, sid):
-    # the instability (E13) and fluid-ranking (E14) kernels drive fixed
-    # multiclass networks through the flat engine — a random horizon cuts
-    # the event sequence at arbitrary points, so the min-scan calendar
-    # must agree with the event heap at *every* prefix, not just the
-    # FAST_PARAMS one
+    # the instability (E13) and fluid-ranking (E14) kernels hoist the
+    # fluid analyses out of the replication loop — a random horizon cuts
+    # the event sequence at arbitrary points, so kernel and event path
+    # must agree at *every* prefix, not just the FAST_PARAMS one
     fluid = {"E13": {"fluid_horizon": 10.0}, "E14": {"fluid_horizon": 30.0}}
     sc = get_scenario(sid)
     params = sc.params({"horizon": horizon, **fluid[sid]})
@@ -257,33 +340,77 @@ def test_property_network_scenario_kernel_equivalence(seed, horizon, sid):
     assert_rows_identical(event_rows, vec_rows, context=f"{sid} seed={seed}")
 
 
+def _service_law(data, j):
+    """A random service law of mean about 1/mu: every family the network
+    engine samples differently (bound exponential draws vs ``sample``)."""
+    from repro.distributions import Deterministic, Erlang, Exponential, HyperExponential
+
+    mu = data.draw(st.floats(0.8, 3.0), label=f"mu{j}")
+    family = data.draw(
+        st.sampled_from(["exp", "erlang", "hyper", "det"]), label=f"family{j}"
+    )
+    if family == "exp":
+        return Exponential(mu)
+    if family == "erlang":
+        k = data.draw(st.integers(2, 4), label=f"k{j}")
+        return Erlang(k, k * mu)
+    if family == "hyper":
+        return HyperExponential.balanced_from_mean_scv(
+            1.0 / mu, data.draw(st.floats(1.0, 6.0), label=f"scv{j}")
+        )
+    return Deterministic(1.0 / mu)
+
+
+def _assert_network_results_identical(ev, vec, ctx):
+    np.testing.assert_array_equal(
+        ev.mean_queue_lengths, vec.mean_queue_lengths, err_msg=ctx
+    )
+    np.testing.assert_array_equal(ev.mean_waits, vec.mean_waits, err_msg=ctx)
+    np.testing.assert_array_equal(ev.visit_counts, vec.visit_counts, err_msg=ctx)
+    assert ev.cost_rate == vec.cost_rate or (
+        math.isnan(ev.cost_rate) and math.isnan(vec.cost_rate)
+    ), ctx
+    assert ev.final_backlog == vec.final_backlog, ctx
+    assert ev.peak_backlog == vec.peak_backlog, ctx
+    if ev.trajectory is None:
+        assert vec.trajectory is None, ctx
+    else:
+        np.testing.assert_array_equal(ev.trajectory, vec.trajectory, err_msg=ctx)
+
+
 @_PROPERTY_SETTINGS
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     horizon=st.floats(min_value=30.0, max_value=200.0),
     warmup=st.sampled_from([0.0, 0.1]),
+    record_trajectory=st.booleans(),
+    max_events=st.one_of(st.just(20_000_000), st.integers(1, 300)),
     data=st.data(),
 )
-def test_property_flat_network_engine_equivalence(seed, horizon, warmup, data):
+def test_property_flat_network_engine_equivalence(
+    seed, horizon, warmup, record_trajectory, max_events, data
+):
     # engine-level coverage beyond the registered scenarios: a random
     # 3-class 2-station network with randomised disciplines (all four),
-    # arrival/service rates, routing chain and server counts — the flat
-    # lockstep engine must return bit-for-bit the event path's
-    # NetworkResult, replication by replication
-    from repro.distributions import Exponential
+    # service families, arrival rates, routing chain and server counts —
+    # simulate_network must return bit-for-bit the heap-calendar oracle's
+    # NetworkResult (trajectory included, at any event budget) and leave
+    # the generator in the same state
+    from queueing_oracles import oracle_simulate_network
+
     from repro.queueing.network import (
         ClassConfig,
         QueueingNetwork,
         StationConfig,
         simulate_network,
     )
-    from repro.sim.vectorized import lockstep_network_simulations
 
     station_of = [0, data.draw(st.integers(0, 1), label="station1"), 1]
-    mus = [data.draw(st.floats(0.8, 3.0), label=f"mu{j}") for j in range(3)]
+    services = [_service_law(data, j) for j in range(3)]
     # optional rates are exactly zero or bounded away from it — a
     # subnormal rate yields an infinite inter-arrival time, which the
-    # event calendar (rightly) refuses to schedule
+    # oracle's event calendar refuses to schedule (simulate_network treats
+    # it as rate 0; see test_subnormal_arrival_rate_never_arrives)
     opt_rate = st.one_of(st.just(0.0), st.floats(0.05, 0.5))
     lams = [
         data.draw(st.floats(0.2, 0.6), label="lam0"),
@@ -311,34 +438,53 @@ def test_property_flat_network_engine_equivalence(seed, horizon, warmup, data):
         )
     net = QueueingNetwork(
         [
-            ClassConfig(station_of[j], Exponential(mus[j]), arrival_rate=lams[j])
+            ClassConfig(station_of[j], services[j], arrival_rate=lams[j])
             for j in range(3)
         ],
         stations,
         routing,
     )
-    children = np.random.SeedSequence(seed).spawn(2)
-    event = [
-        simulate_network(
-            net, horizon, np.random.default_rng(ss), warmup_fraction=warmup
-        )
-        for ss in children
-    ]
-    flat = lockstep_network_simulations(
-        net,
-        horizon,
-        [np.random.default_rng(ss) for ss in children],
+    kwargs = dict(
         warmup_fraction=warmup,
+        max_events=max_events,
+        record_trajectory=record_trajectory,
+        trajectory_points=data.draw(st.integers(1, 50), label="points"),
     )
-    for r, (ev, vec) in enumerate(zip(event, flat)):
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(2)):
+        rng_oracle, rng_engine = np.random.default_rng(ss), np.random.default_rng(ss)
+        ev = oracle_simulate_network(net, horizon, rng_oracle, **kwargs)
+        vec = simulate_network(net, horizon, rng_engine, **kwargs)
         ctx = f"network seed={seed} rep={r}"
-        np.testing.assert_array_equal(
-            ev.mean_queue_lengths, vec.mean_queue_lengths, err_msg=ctx
+        _assert_network_results_identical(ev, vec, ctx)
+        assert rng_oracle.bit_generator.state == rng_engine.bit_generator.state, ctx
+
+
+def test_subnormal_arrival_rate_never_arrives():
+    # 1.0 / 5e-324 overflows to inf: the class's first inter-arrival time
+    # is infinite, so it never arrives, and the run is the rate-0 run
+    # after the one draw that sampled that infinite time
+    from repro.distributions import Exponential
+    from repro.queueing.network import (
+        ClassConfig,
+        QueueingNetwork,
+        StationConfig,
+        simulate_network,
+    )
+
+    def network(rate):
+        return QueueingNetwork(
+            [
+                ClassConfig(0, Exponential(2.0), arrival_rate=rate),
+                ClassConfig(0, Exponential(1.5), arrival_rate=0.5),
+            ],
+            [StationConfig(discipline="fifo")],
         )
-        np.testing.assert_array_equal(ev.mean_waits, vec.mean_waits, err_msg=ctx)
-        np.testing.assert_array_equal(ev.visit_counts, vec.visit_counts, err_msg=ctx)
-        assert ev.cost_rate == vec.cost_rate or (
-            math.isnan(ev.cost_rate) and math.isnan(vec.cost_rate)
-        ), ctx
-        assert ev.final_backlog == vec.final_backlog, ctx
-        assert ev.peak_backlog == vec.peak_backlog, ctx
+
+    rng_sub = np.random.default_rng(3)
+    sub = simulate_network(network(5e-324), 400.0, rng_sub)
+    rng_zero = np.random.default_rng(3)
+    rng_zero.exponential(1.0)  # the subnormal class's one draw
+    zero = simulate_network(network(0.0), 400.0, rng_zero)
+    assert sub.visit_counts[0] == 0 and math.isnan(sub.mean_waits[0])
+    _assert_network_results_identical(sub, zero, "subnormal vs rate 0")
+    assert rng_sub.bit_generator.state == rng_zero.bit_generator.state
