@@ -3,11 +3,13 @@
 Measures the raw throughput of the two queueing engines every queueing
 experiment rests on — ``simulate_network`` on an M/M/1 workload and
 ``PollingSystem.simulate`` on E15's exhaustive short-switchover case —
-and cross-checks accuracy against the M/M/1 closed form (the engine must
-not trade correctness for speed).  ``events_per_s`` and
-``polling_customers_per_s`` are the gated guards on engine speed: the
-queueing scenarios run these engines on both backends, so the a04
-backend ratios cannot catch them slowing down.
+and of the fluid integrator behind E13/E14 (``fluid_drain_time`` on
+E14's exit-first fluid), and cross-checks accuracy against the M/M/1
+closed form (the engine must not trade correctness for speed).
+``events_per_s``, ``polling_customers_per_s`` and ``fluid_steps_per_s``
+are the gated guards on their speed: the queueing scenarios run these
+engines on both backends, so the a04 backend ratios cannot catch them
+slowing down.
 
 Driven by the experiment registry (scenario A2): the accuracy anchor runs
 as replications through the shared runner; the throughput measurement
@@ -21,7 +23,8 @@ import pytest
 
 from repro.distributions import Deterministic, Exponential
 from repro.experiments import get_scenario, run_scenario
-from repro.queueing import PollingSystem
+from repro.experiments.packs.queueing import _e14_network
+from repro.queueing import FluidModel, PollingSystem, fluid_drain_time
 from repro.queueing.mg1 import mm1_metrics
 from repro.queueing.network import (
     ClassConfig,
@@ -70,6 +73,13 @@ def test_a02_event_engine_throughput(benchmark, report, record_bench):
     )
     p_horizon = 12_000.0  # ~ 0.5 * 12000 = 6k customers per run
     t_poll = _best_of(lambda: polling.simulate(p_horizon, np.random.default_rng(0)))
+
+    # E14's exit-first fluid at the scenario's fluid horizon and step:
+    # 12,000 Euler steps, nearly all inside a few long regimes
+    fluid = FluidModel.from_network(_e14_network((2, 0), (1,)))
+    f_horizon, f_dt = 120.0, 0.01
+    f_steps = int(np.ceil(f_horizon / f_dt))
+    t_fluid = _best_of(lambda: fluid_drain_time(fluid, [1, 1, 1], horizon=f_horizon, dt=f_dt))
     record_bench(
         "a02_event_engine",
         {
@@ -87,8 +97,20 @@ def test_a02_event_engine_throughput(benchmark, report, record_bench):
                 "direction": "higher",
                 "tolerance": _TOLERANCE,
             },
+            "fluid_drain_s": {"value": t_fluid, "unit": "s"},
+            "fluid_steps_per_s": {
+                "value": f_steps / t_fluid,
+                "unit": "1/s",
+                "direction": "higher",
+                "tolerance": _TOLERANCE,
+            },
         },
-        meta={"horizon": horizon, "polling_horizon": p_horizon},
+        meta={
+            "horizon": horizon,
+            "polling_horizon": p_horizon,
+            "fluid_horizon": f_horizon,
+            "fluid_dt": f_dt,
+        },
     )
 
     res = run_scenario(SC, replications=5, seed=2, workers=1)

@@ -652,9 +652,9 @@ def batch_e13(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 @PACK.kernel(
     "E14",
     mode="cached",
-    note="the deterministic fluid drain integrations are computed once for "
-    "the batch; the CRN policy comparison calls simulate_network as the "
-    "event path does",
+    note="the deterministic fluid drain analysis (each policy's allocation "
+    "LPs and Euler integration) is computed once for the batch; the CRN "
+    "policy comparison calls simulate_network as the event path does",
 )
 def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``cached`` kernel for E14: computes the fluid drain integrations once per batch;

@@ -15,13 +15,40 @@ where ``u_j`` is the fraction of class j's station devoted to j
 * **policy design**: priority/effort rules derived from the fluid
   optimal-control problem perform well in the stochastic network.
 
-The integrator uses small-step Euler with a per-step fixed-point pass on
-the effort allocation so that empty buffers with inflow are held at zero
-(the standard fluid dynamics of priority disciplines).
+**Allocation: one LP per regime.** Under strict priorities the effort
+``u`` solves a small LP (:meth:`FluidModel.allocation`): maximise
+priority-weighted throughput subject to station (and virtual-station)
+capacities, with every empty buffer processed no faster than its inflow,
+so empty buffers with inflow are held at zero. The LP depends on the
+levels only through their *empty pattern* ``q <= 1e-12``, so it is solved
+once per pattern (a *regime*) and cached.
+
+**Integration: Euler, a regime block at a time.** :func:`fluid_trajectory`
+takes the Euler steps ``q <- max(q + dt * dq, 0)``. Within a regime the
+increment ``c = dt * dq`` is a constant vector, so once a pattern has held
+for a couple of steps a whole block of steps is produced by one
+``np.add.accumulate`` over the rows ``[q, c, c, ...]``. The block is
+bit-identical to stepping one at a time:
+
+* accumulate adds strictly sequentially, so row k is exactly
+  ``(...((q + c) + c)...) + c``, the same rounding as k separate steps;
+* a column with ``q == 0`` and ``c <= 0`` is pinned at ``+0.0``, which is
+  what the clip makes of it at every step;
+* row k is kept only while row k-1 still has the regime's pattern (so
+  ``c`` was the right increment) and no other column of row k is negative
+  (so the clip would not have changed it). The first row that fails ends
+  the block, and the ordinary clipped step takes over from there, through
+  the regime change, until the new pattern has held again.
+
+Blocks start small and double while they are accepted whole, so a long
+drain costs a few dozen numpy calls, while a sliding mode whose pattern
+flips every step or two (the augmented Rybko–Stolyar fluid) rarely pays
+for a block it cannot use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +58,16 @@ from repro.queueing.network import QueueingNetwork
 from repro.utils.validation import check_substochastic_matrix
 
 __all__ = ["FluidModel", "fluid_trajectory", "fluid_drain_time", "is_fluid_stable"]
+
+# a buffer at or below this level counts as empty
+_EMPTY_LEVEL = 1e-12
+
+# regime blocks: tried after the pattern held for _HOLD clipped steps,
+# starting at _MIN_BLOCK rows and doubling up to _MAX_BLOCK while accepted
+# whole; a block that breaks resets both
+_HOLD = 2
+_MIN_BLOCK = 8
+_MAX_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,7 +156,7 @@ class FluidModel:
         results are cached on that pattern — one LP per regime, not per
         integration step.
         """
-        empty = tuple(bool(q[j] <= 1e-12) for j in range(self.n_classes))
+        empty = tuple(bool(q[j] <= _EMPTY_LEVEL) for j in range(self.n_classes))
         cached = self._alloc_cache.get(empty)
         if cached is None:
             cached = self._solve_allocation(empty)
@@ -184,20 +221,81 @@ def fluid_trajectory(
     model: FluidModel, q0: Sequence[float], horizon: float, dt: float = 1e-3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-integrate the fluid dynamics; returns (times, levels) with
-    levels of shape (n_steps + 1, n_classes)."""
-    q = np.asarray(q0, dtype=float).copy()
+    levels of shape (n_steps + 1, n_classes).
+
+    ``dt`` must be finite and positive, ``horizon`` finite and
+    nonnegative, and ``q0`` a finite, nonnegative vector of length
+    ``n_classes``; anything else raises ``ValueError``.
+    """
+    dt, horizon = float(dt), float(horizon)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
+    if not math.isfinite(horizon / dt):
+        raise ValueError(f"horizon / dt overflows: horizon={horizon!r}, dt={dt!r}")
+    n = model.n_classes
+    q = np.array(q0, dtype=float)
+    if q.shape != (n,):
+        raise ValueError(f"q0 must have shape ({n},), got {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("q0 entries must be finite")
     if np.any(q < 0):
         raise ValueError("buffer levels must be nonnegative")
     steps = int(np.ceil(horizon / dt))
     times = np.linspace(0.0, steps * dt, steps + 1)
-    out = np.empty((steps + 1, model.n_classes))
+    out = np.empty((steps + 1, n))
     out[0] = q
-    for t in range(steps):
-        u = model.allocation(q)
-        dq = model.alpha - model.mu * u + (model.mu * u) @ model.routing
-        q = np.clip(q + dt * dq, 0.0, None)
-        out[t + 1] = q
+    increments: dict[bytes, np.ndarray] = {}  # empty pattern -> dt * dq
+    key_prev, run, block = b"", 0, _MIN_BLOCK
+    t = 0
+    while t < steps:
+        empty = q <= _EMPTY_LEVEL
+        key = empty.tobytes()
+        c = increments.get(key)
+        if c is None:
+            u = model.allocation(q)
+            c = dt * (model.alpha - model.mu * u + (model.mu * u) @ model.routing)
+            increments[key] = c
+        if key != key_prev:
+            key_prev, run, block = key, 0, _MIN_BLOCK
+        elif run >= _HOLD:
+            m = min(block, steps - t)
+            taken = _regime_block(q, c, empty, m, out[t + 1 :])
+            if taken == m:
+                block = min(2 * block, _MAX_BLOCK)
+            else:
+                run, block = 0, _MIN_BLOCK
+            if taken:
+                t += taken
+                q = out[t]
+                continue
+        # np.clip(q + c, 0.0, None) without its Python-level dispatch:
+        # numpy's clip calls exactly this ufunc when there is no upper bound
+        q = np.maximum(q + c, 0.0)
+        t += 1
+        out[t] = q
+        run += 1
     return times, out
+
+
+def _regime_block(
+    q: np.ndarray, c: np.ndarray, empty: np.ndarray, m: int, out: np.ndarray
+) -> int:
+    """Up to ``m`` Euler steps of one regime (pattern ``empty``, increment
+    ``c``) from ``q`` in one accumulate; writes the exact prefix to
+    ``out[:k]`` and returns its length ``k`` (see the module docstring)."""
+    pinned = (q == 0.0) & (c <= 0.0)
+    rows = np.empty((m + 1, q.size))
+    rows[0] = q
+    rows[1:] = c
+    rows = np.add.accumulate(rows, axis=0)
+    exact = np.all((rows[:-1] <= _EMPTY_LEVEL) == empty, axis=1)
+    exact &= np.all((rows[1:] >= 0.0) | pinned, axis=1)
+    k = m if exact.all() else int(exact.argmin())
+    out[:k] = rows[1 : k + 1]
+    out[:k, pinned] = 0.0
+    return k
 
 
 def fluid_drain_time(

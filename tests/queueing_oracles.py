@@ -1,27 +1,34 @@
-"""Test-only oracles: the heap-calendar queueing simulators.
+"""Test-only oracles: the heap-calendar queueing simulators and the
+step-by-step fluid integrator.
 
 These are the original bodies of :func:`repro.queueing.network.simulate_network`
-(a generic ``(time, priority, seq)`` event calendar with monitor objects)
-and :meth:`repro.queueing.polling.PollingSystem.simulate` (per-queue
-pending lists and one scalar ``sample(rng)`` call per draw), kept verbatim
-apart from their names (``self`` is ``system`` in the polling oracle).  The library's engines replaced them with flat
-min-scan / pointer-window loops that must stay bit-for-bit equal;
-``tests/test_backend_equivalence.py`` checks that against these
-oracles on randomised networks and polling systems.
+(a generic ``(time, priority, seq)`` event calendar with monitor objects),
+:meth:`repro.queueing.polling.PollingSystem.simulate` (per-queue
+pending lists and one scalar ``sample(rng)`` call per draw) and
+:func:`repro.queueing.fluid.fluid_trajectory` (one clipped Euler step per
+loop iteration), kept verbatim apart from their names (``self`` is
+``system`` in the polling oracle).  The library's engines replaced them
+with flat min-scan / pointer-window loops and regime-block accumulation
+that must stay bit-for-bit equal; ``tests/test_backend_equivalence.py``
+checks the queueing engines against these oracles on randomised networks
+and polling systems, and ``tests/test_fluid_oracle.py`` the fluid
+integrator on randomised fluid models.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
+from repro.queueing.fluid import FluidModel
 from repro.queueing.network import NetworkResult, QueueingNetwork
 from repro.queueing.polling import PollingResult, PollingSystem
 from repro.sim.engine import Simulator
 from repro.sim.monitor import TallyMonitor, TimeWeightedMonitor
 
-__all__ = ["oracle_simulate_network", "oracle_polling_simulate"]
+__all__ = ["oracle_simulate_network", "oracle_polling_simulate", "oracle_fluid_trajectory"]
 
 
 
@@ -311,3 +318,23 @@ def oracle_polling_simulate(
         cycle_time=float(np.mean(cycle_durations)) if cycle_durations else np.nan,
         weighted_wait_sum=weighted,
     )
+
+
+def oracle_fluid_trajectory(
+    model: FluidModel, q0: Sequence[float], horizon: float, dt: float = 1e-3
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-integrate the fluid dynamics; returns (times, levels) with
+    levels of shape (n_steps + 1, n_classes)."""
+    q = np.asarray(q0, dtype=float).copy()
+    if np.any(q < 0):
+        raise ValueError("buffer levels must be nonnegative")
+    steps = int(np.ceil(horizon / dt))
+    times = np.linspace(0.0, steps * dt, steps + 1)
+    out = np.empty((steps + 1, model.n_classes))
+    out[0] = q
+    for t in range(steps):
+        u = model.allocation(q)
+        dq = model.alpha - model.mu * u + (model.mu * u) @ model.routing
+        q = np.clip(q + dt * dq, 0.0, None)
+        out[t + 1] = q
+    return times, out

@@ -4,7 +4,13 @@ properties, and load-based criteria."""
 import numpy as np
 import pytest
 
-from repro.queueing import FluidModel, fluid_trajectory, rybko_stolyar_network
+from repro.queueing import (
+    FluidModel,
+    fluid_drain_time,
+    fluid_trajectory,
+    is_fluid_stable,
+    rybko_stolyar_network,
+)
 
 
 def simple_queue(alpha=0.5, mu=1.0):
@@ -73,6 +79,48 @@ class TestTrajectories:
         fm = simple_queue(alpha=0.5, mu=1.0)
         _, levels = fluid_trajectory(fm, [0.0], horizon=2.0, dt=1e-3)
         assert float(levels.max()) < 1e-9
+
+
+class TestTrajectoryArguments:
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    def test_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            fluid_trajectory(simple_queue(), [1.0], horizon=1.0, dt=dt)
+
+    @pytest.mark.parametrize("horizon", [-0.1, float("nan"), float("inf")])
+    def test_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+            fluid_trajectory(simple_queue(), [1.0], horizon=horizon, dt=0.01)
+
+    def test_step_count_overflow(self):
+        with pytest.raises(ValueError, match="horizon / dt"):
+            fluid_trajectory(simple_queue(), [1.0], horizon=1e300, dt=1e-300)
+
+    @pytest.mark.parametrize("q0", [[1.0, 1.0], [], [[1.0]]])
+    def test_bad_q0_shape(self, q0):
+        with pytest.raises(ValueError, match=r"q0 must have shape \(1,\)"):
+            fluid_trajectory(simple_queue(), q0, horizon=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    def test_nonfinite_q0(self, level):
+        with pytest.raises(ValueError, match="q0 entries must be finite"):
+            fluid_trajectory(simple_queue(), [level], horizon=1.0, dt=0.01)
+
+    def test_zero_horizon_is_the_start_row(self):
+        times, levels = fluid_trajectory(simple_queue(), [2.0], horizon=0.0, dt=0.01)
+        assert times.tolist() == [0.0]
+        assert levels.tolist() == [[2.0]]
+
+    def test_drain_time_and_stability_inherit_the_checks(self):
+        fm = simple_queue()
+        with pytest.raises(ValueError, match="dt"):
+            fluid_drain_time(fm, [1.0], dt=0.0)
+        with pytest.raises(ValueError, match="q0"):
+            fluid_drain_time(fm, [1.0, 2.0])
+        with pytest.raises(ValueError, match="horizon"):
+            is_fluid_stable(fm, horizon=float("inf"))
+        with pytest.raises(ValueError, match="q0"):
+            is_fluid_stable(fm, from_levels=float("nan"))
 
 
 class TestModelValidation:
