@@ -24,7 +24,7 @@ import os
 import time
 
 from repro.experiments import get_scenario, kernel_ids
-from repro.experiments.backends import simulate_scenario_batch
+from repro.experiments.runner import simulate_scenario_batch
 from repro.sim.vectorized import get_kernel
 from repro.utils.rng import spawn_seed_sequences
 

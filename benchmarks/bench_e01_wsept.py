@@ -2,9 +2,9 @@
 (Rothkopf [34] / Smith [37]).
 
 Driven by the experiment registry: the workload lives in
-``repro.experiments.scenarios.simulate_e1`` and this benchmark replicates
-it through the shared runner, asserting the scenario's shape checks plus
-the original exactness bound.
+``repro.experiments.packs.flowshop.simulate_e1`` and this benchmark
+replicates it through the shared runner, asserting the scenario's shape
+checks plus the original exactness bound.
 """
 
 import pytest

@@ -3,7 +3,7 @@
 and coincides with it for memoryless jobs.
 
 Driven by the experiment registry: the workload lives in
-``repro.experiments.scenarios.simulate_e2`` (random DHR instances per
+``repro.experiments.packs.flowshop.simulate_e2`` (random DHR instances per
 replication) and this benchmark replicates it through the shared runner.
 """
 

@@ -10,7 +10,7 @@ replications run through the batched backend by default.
 
 from repro.bandits import is_indexable
 from repro.experiments import get_scenario, run_scenario
-from repro.experiments.scenarios import _e8_project
+from repro.experiments.packs.restless import _e8_project
 
 SC = get_scenario("E8")
 

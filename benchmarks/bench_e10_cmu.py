@@ -10,8 +10,12 @@ is shared (the E10 kernel hoists it out of the replication loop).
 """
 
 from repro.experiments import get_scenario, run_scenario
+from repro.experiments.packs.queueing import (
+    _E10_ARRIVAL,
+    _E10_COSTS,
+    _e10_services,
+)
 from repro.queueing import optimal_average_cost
-from repro.experiments.scenarios import _E10_ARRIVAL, _E10_COSTS, _e10_services
 
 SC = get_scenario("E10")
 

@@ -10,7 +10,11 @@ is shared (the E11 kernel hoists it out of the replication loop).
 import numpy as np
 
 from repro.experiments import get_scenario, run_scenario
-from repro.experiments.scenarios import _E11_COSTS, _E11_FEEDBACK, _E11_MUS
+from repro.experiments.packs.queueing import (
+    _E11_COSTS,
+    _E11_FEEDBACK,
+    _E11_MUS,
+)
 from repro.queueing.klimov import klimov_order
 
 SC = get_scenario("E11")

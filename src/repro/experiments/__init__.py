@@ -13,15 +13,14 @@ discoverable objects:
   their vectorized kernels.  The built-in catalogue (E1–E19, A1–A3)
   ships as five family packs; third-party packs register through the
   ``repro.scenario_packs`` entry-point group without touching core.
-* :mod:`repro.experiments.scenarios` — compatibility shim re-exporting
-  the built-in packs' simulate functions under their historical names.
+  Packs are discovered lazily, on the first registry or kernel lookup,
+  so importing this package imports none of the family pack modules.
 * :mod:`repro.experiments.runner` — batched replications with multiprocess
   fan-out over spawned seed streams and vectorised aggregation; results
-  are bit-identical for every worker count.
-* :mod:`repro.experiments.backends` — the second simulation backend:
-  vectorized kernels that run all replications of a scenario at once on
-  batched numpy arrays, bit-for-bit equivalent to the event-driven path
-  (``backend="event" | "vectorized" | "auto"`` on the runner and CLI).
+  are bit-identical for every worker count.  It also picks the simulation
+  backend (``backend="event" | "vectorized" | "auto"``): the vectorized
+  kernels of :mod:`repro.sim.vectorized` run all replications of a
+  scenario at once, bit-for-bit equivalent to the event-driven path.
 * :mod:`repro.experiments.store` — the content-addressed, resumable
   sample store: per-replication sample matrices keyed by
   ``(scenario, canonical params, root seed)``, so re-runs (more
@@ -34,11 +33,17 @@ discoverable objects:
   param schema) expands into concrete points that run through
   :func:`run_scenarios` — per-point sample-store cache entries, adaptive
   precision, and backend choice all apply — and aggregate into a
-  long-form table plus per-axis marginal summaries.
+  long-form table plus per-axis marginal summaries.  It also owns the
+  runner options every entry point shares: their defaults
+  (:data:`~repro.experiments.sweeps.RUN_DEFAULTS`) and their one check
+  (:func:`~repro.experiments.sweeps.check_run_options`).
 * :mod:`repro.experiments.report` — structured JSON documents and the
   Markdown claim-vs-measured report (and the sweep-report renderers).
-* :mod:`repro.experiments.cli` — the ``repro-experiments`` console script.
-* :mod:`repro.experiments.sweep_cli` — the ``repro-sweep`` console script.
+* :mod:`repro.experiments.cli` — the ``repro-experiments`` console
+  script, and the runner flags it shares with ``repro-sweep run`` and
+  ``repro-serve submit``.
+* :mod:`repro.experiments.sweep_cli` — the ``repro-sweep`` console
+  script, and the sweep-spec flags it shares with ``repro-serve submit``.
 
 Adaptive precision: pass ``target_precision=`` (``--target-precision``) to
 replace the fixed replication count with the sequential controller in
@@ -54,13 +59,6 @@ Typical use::
     print(result.metrics["fifo_ratio"].mean)
 """
 
-from repro.experiments.backends import (
-    BACKENDS,
-    MissingKernelError,
-    has_kernel,
-    kernel_ids,
-    resolve_backend,
-)
 from repro.experiments.packs import (
     PackError,
     ScenarioPack,
@@ -80,8 +78,11 @@ from repro.experiments.registry import (
     scenario_ids,
 )
 from repro.experiments.runner import (
+    BACKENDS,
     MetricSummary,
+    MissingKernelError,
     ScenarioResult,
+    resolve_backend,
     run_scenario,
     run_scenarios,
 )
@@ -96,13 +97,16 @@ from repro.experiments.report import (
 )
 from repro.experiments.store import MemoryStore, SampleStore, StoreBackend
 from repro.experiments.sweeps import (
+    RUN_DEFAULTS,
     SweepPoint,
     SweepResult,
     SweepSpec,
+    check_run_options,
     run_sweep,
     sweep_run_config,
 )
 from repro.sim.sequential import PrecisionTarget
+from repro.sim.vectorized import has_kernel, kernel_ids
 
 __all__ = [
     "Scenario",
@@ -141,6 +145,8 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
+    "RUN_DEFAULTS",
+    "check_run_options",
     "run_sweep",
     "sweep_run_config",
     "PrecisionTarget",

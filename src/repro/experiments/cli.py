@@ -27,6 +27,13 @@ point estimates are bit-identical for every ``--workers`` value.
 To run one scenario over a *grid* of parameter points (rather than one
 point per scenario), use the companion ``repro-sweep`` CLI
 (:mod:`repro.experiments.sweep_cli`).
+
+The runner flags (:func:`run_flags`) and the sample-store and report
+flags (:func:`output_flags`) are built here once, as argparse parent
+parsers: ``repro-sweep run`` takes both, ``repro-serve submit`` the
+runner flags.  :func:`run_options` checks the parsed runner flags with
+the check the daemon applies to submissions, so every entry point
+accepts and refuses the same values.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import ast
 import sys
 from typing import Any, Sequence
 
-from repro.experiments.backends import MissingKernelError
 from repro.experiments.registry import (
     ParamValidationError,
     get_scenario,
@@ -45,10 +51,23 @@ from repro.experiments.registry import (
     scenario_ids,
 )
 from repro.experiments.report import generate_markdown, results_to_json
-from repro.experiments.runner import run_scenarios
+from repro.experiments.runner import (
+    BACKENDS,
+    MissingKernelError,
+    resolve_backend,
+    run_scenarios,
+)
+from repro.experiments.sweeps import RUN_DEFAULTS, check_run_options
 from repro.sim.sequential import DEFAULT_MAX_REPS, DEFAULT_MIN_REPS
 
-__all__ = ["main", "build_parser", "CliError"]
+__all__ = [
+    "main",
+    "build_parser",
+    "CliError",
+    "run_flags",
+    "output_flags",
+    "run_options",
+]
 
 
 class CliError(Exception):
@@ -96,71 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="list discovered scenario packs (built-in and entry-point)",
     )
 
-    run = sub.add_parser("run", help="run a subset of scenarios")
+    run = sub.add_parser(
+        "run",
+        parents=[run_flags(), output_flags()],
+        help="run a subset of scenarios",
+    )
     run.add_argument(
         "scenarios",
         nargs="+",
         help="scenario ids (e.g. E1 E2), or 'all'",
-    )
-    run.add_argument(
-        "--replications", type=int, default=10, help="replications per scenario"
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (0 = all cores); results are identical "
-        "for every worker count",
-    )
-    run.add_argument("--seed", type=int, default=0, help="root seed")
-    run.add_argument(
-        "--backend",
-        choices=["event", "vectorized", "auto"],
-        default="auto",
-        help="simulation backend: the per-replication event engine, the "
-        "batched vectorized kernels (an error for scenarios without a "
-        "kernel), or auto (kernel when one exists, event otherwise); "
-        "backends are bit-for-bit equivalent, so this only changes speed",
-    )
-    run.add_argument(
-        "--level", type=float, default=0.95, help="confidence level"
-    )
-    run.add_argument(
-        "--target-precision",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive mode: grow the replication count until every "
-        "metric's relative CI half-width is <= REL (a deterministic "
-        "metric counts as met); --replications is ignored, the achieved "
-        "n is reported per scenario",
-    )
-    run.add_argument(
-        "--min-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: first evaluation point (default "
-        f"{DEFAULT_MIN_REPS}); requires --target-precision",
-    )
-    run.add_argument(
-        "--max-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: hard replication cap (default "
-        f"{DEFAULT_MAX_REPS}); requires --target-precision",
-    )
-    run.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="content-addressed sample store: replications cached for the "
-        "same (scenario, params, seed) are reused and only the remainder "
-        "is simulated; the grown prefix is written back",
-    )
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir (neither read nor write the sample store)",
     )
     run.add_argument(
         "--param",
@@ -171,25 +134,131 @@ def build_parser() -> argparse.ArgumentParser:
         help="parameter override, applied to scenarios declaring KEY "
         "(repeatable)",
     )
-    run.add_argument(
+    return parser
+
+
+def run_flags() -> argparse.ArgumentParser:
+    """Parent parser of the runner flags, shared by ``repro-experiments
+    run``, ``repro-sweep run`` and ``repro-serve submit``.
+
+    Defaults come from :data:`~repro.experiments.sweeps.RUN_DEFAULTS`;
+    :func:`run_options` checks the parsed values.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--replications",
+        type=int,
+        default=RUN_DEFAULTS["replications"],
+        help="replications per scenario (per point in a sweep)",
+    )
+    flags.add_argument(
+        "--workers",
+        type=int,
+        default=RUN_DEFAULTS["workers"],
+        help="worker processes (0 = all cores); results are identical "
+        "for every worker count",
+    )
+    flags.add_argument(
+        "--seed",
+        type=int,
+        default=RUN_DEFAULTS["seed"],
+        help="root seed (a sweep's points share it: common random numbers "
+        "across the grid)",
+    )
+    flags.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default=RUN_DEFAULTS["backend"],
+        help="simulation backend: the per-replication event engine, the "
+        "batched vectorized kernels (an error for scenarios without a "
+        "kernel), or auto (kernel when one exists, event otherwise); "
+        "backends are bit-for-bit equivalent, so this only changes speed",
+    )
+    flags.add_argument(
+        "--level",
+        type=float,
+        default=RUN_DEFAULTS["level"],
+        help="confidence level",
+    )
+    flags.add_argument(
+        "--target-precision",
+        type=float,
+        default=RUN_DEFAULTS["target_precision"],
+        metavar="REL",
+        help="adaptive mode: grow the replication count (of each sweep "
+        "point) until every metric's relative CI half-width is <= REL (a "
+        "deterministic metric counts as met); --replications is ignored, "
+        "the achieved n is reported",
+    )
+    flags.add_argument(
+        "--min-reps",
+        type=int,
+        default=RUN_DEFAULTS["min_reps"],
+        help="adaptive mode: first evaluation point (default "
+        f"{DEFAULT_MIN_REPS}); requires --target-precision",
+    )
+    flags.add_argument(
+        "--max-reps",
+        type=int,
+        default=RUN_DEFAULTS["max_reps"],
+        help="adaptive mode: hard replication cap (default "
+        f"{DEFAULT_MAX_REPS}); requires --target-precision",
+    )
+    flags.add_argument(
+        "--quiet", action="store_true", help="suppress progress lines"
+    )
+    return flags
+
+
+def output_flags() -> argparse.ArgumentParser:
+    """Parent parser of the sample-store and report flags, shared by
+    ``repro-experiments run`` and ``repro-sweep run``."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=None,
+        help="content-addressed sample store: replications cached for the "
+        "same (scenario, params, seed) are reused and only the remainder "
+        "is simulated; the grown prefix is written back",
+    )
+    flags.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore --cache-dir (neither read nor write the sample store)",
+    )
+    flags.add_argument(
         "--json",
         metavar="PATH",
-        help="write the JSON results document to PATH ('-' for stdout)",
+        help="write the JSON document to PATH ('-' for stdout)",
     )
-    run.add_argument(
+    flags.add_argument(
         "--markdown",
         metavar="PATH",
         help="write the Markdown report to PATH ('-' for stdout)",
     )
-    run.add_argument(
+    flags.add_argument(
         "--include-samples",
         action="store_true",
         help="embed raw per-replication samples in the JSON output",
     )
-    run.add_argument(
-        "--quiet", action="store_true", help="suppress the progress table"
-    )
-    return parser
+    return flags
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def run_options(args: argparse.Namespace) -> dict[str, Any]:
+    """The runner options parsed from :func:`run_flags`, checked by
+    :func:`~repro.experiments.sweeps.check_run_options` (the daemon's check
+    too); a bad value is a :class:`CliError` naming the flag."""
+    try:
+        return check_run_options(
+            {key: getattr(args, key) for key in RUN_DEFAULTS}, name=_flag
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _cmd_list(tags: Sequence[str]) -> int:
@@ -234,38 +303,10 @@ def _resolve_ids(requested: Sequence[str]) -> list[str]:
         raise CliError(exc.args[0]) from exc
 
 
-def _validate_run_args(args: argparse.Namespace) -> None:
-    """Validate the runner flags shared by ``repro-experiments run`` and
-    ``repro-sweep run`` (replications, level, and the adaptive-precision
-    flag combinations); raises :class:`CliError` on misuse."""
-    if args.replications < 1:
-        raise CliError("--replications must be at least 1")
-    if not 0 < args.level < 1:
-        raise CliError(
-            f"--level must be strictly between 0 and 1 (got {args.level}); "
-            f"e.g. 0.95 for a 95% confidence interval"
-        )
-    if args.target_precision is not None and not args.target_precision > 0:
-        raise CliError(
-            f"--target-precision must be > 0 (got {args.target_precision})"
-        )
-    if args.target_precision is None:
-        for flag, value in (("--min-reps", args.min_reps), ("--max-reps", args.max_reps)):
-            if value is not None:
-                raise CliError(f"{flag} requires --target-precision")
-    else:
-        if args.min_reps is not None and args.min_reps < 2:
-            raise CliError("--min-reps must be at least 2")
-        lo = args.min_reps if args.min_reps is not None else DEFAULT_MIN_REPS
-        hi = args.max_reps if args.max_reps is not None else DEFAULT_MAX_REPS
-        if hi < lo:
-            raise CliError(f"--max-reps ({hi}) must be >= --min-reps ({lo})")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     ids = _resolve_ids(args.scenarios)
     params = dict(args.param)
-    _validate_run_args(args)
+    run = run_options(args)
     cache_dir = None if args.no_cache else args.cache_dir
     # every override must be meaningful for at least one selected scenario
     known = {k for sid in ids for k in get_scenario(sid).defaults}
@@ -277,9 +318,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     # an explicit vectorized request must fail fast, before any scenario
     # burns simulation time whose results would then be discarded
-    if args.backend == "vectorized":
-        from repro.experiments.backends import resolve_backend
-
+    if run["backend"] == "vectorized":
         try:
             for sid in ids:
                 resolve_backend(sid, "vectorized")
@@ -289,17 +328,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for sid in ids:
         try:
             res = run_scenarios(
-                [sid],
-                replications=args.replications,
-                seed=args.seed,
-                workers=args.workers,
-                params=params,
-                level=args.level,
-                backend=args.backend,
-                target_precision=args.target_precision,
-                min_reps=args.min_reps,
-                max_reps=args.max_reps,
-                cache_dir=cache_dir,
+                [sid], **run, params=params, cache_dir=cache_dir
             )[0]
         except (MissingKernelError, ParamValidationError) as exc:
             raise CliError(str(exc)) from exc
@@ -326,22 +355,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
 
     config = {
-        "replications": args.replications,
-        "seed": args.seed,
-        "workers": args.workers,
+        "replications": run["replications"],
+        "seed": run["seed"],
+        "workers": run["workers"],
         # what the user asked for; each result entry additionally records
         # the backend that actually ran (`"backend"` in the result dict),
         # and the summary below makes an `auto` run reproducible from the
         # report alone
-        "backend_requested": args.backend,
+        "backend_requested": run["backend"],
         "resolved_backends": {res.scenario_id: res.backend for res in results},
-        "level": args.level,
+        "level": run["level"],
         "params": {k: repr(v) for k, v in params.items()},
         # adaptive mode: each result entry records the achieved n
         # (`"n_replications"`) and the outcome (`"precision"`)
-        "target_precision": args.target_precision,
-        "min_reps": args.min_reps,
-        "max_reps": args.max_reps,
+        "target_precision": run["target_precision"],
+        "min_reps": run["min_reps"],
+        "max_reps": run["max_reps"],
         "cache_dir": cache_dir,
     }
     if args.json:

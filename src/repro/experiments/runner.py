@@ -17,10 +17,11 @@ lambdas in their check tables.
 
 Backends: replications run through the scenario's event-driven
 ``simulate`` function or, for scenarios with a registered vectorized
-kernel, through the batched kernel (see
-:mod:`repro.experiments.backends`).  The two backends are bit-for-bit
-equivalent per replication, so every statistic here is identical for any
-``backend`` choice — and, as before, for any worker count.
+kernel (:mod:`repro.sim.vectorized`), through the batched kernel.  The
+two backends are bit-for-bit equivalent per replication, so every
+statistic here is identical for any ``backend`` choice — and, as before,
+for any worker count.  :func:`resolve_backend` maps a request
+(``"event"``, ``"vectorized"`` or ``"auto"``) to the backend that runs.
 
 Two optional layers sit on top of the fixed-count loop:
 
@@ -43,21 +44,78 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.backends import (
-    BACKENDS,
-    MissingKernelError,
-    resolve_backend,
-    simulate_scenario_batch,
-)
 from repro.experiments.registry import Scenario, get_scenario, is_registered
 from repro.experiments.store import SampleStore, StoreBackend
 from repro.sim.replication import map_seed_chunks
 from repro.sim.sequential import PrecisionTarget, run_sequential_replications
+from repro.sim.vectorized import get_kernel, has_kernel, kernel_ids
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.serialization import jsonable as _jsonable
 from repro.utils.stats import summarize_rows
 
-__all__ = ["MetricSummary", "ScenarioResult", "run_scenario", "run_scenarios"]
+__all__ = [
+    "BACKENDS",
+    "MissingKernelError",
+    "MetricSummary",
+    "ScenarioResult",
+    "resolve_backend",
+    "run_scenario",
+    "run_scenarios",
+    "simulate_scenario_batch",
+]
+
+BACKENDS = ("event", "vectorized", "auto")
+
+
+class MissingKernelError(ValueError):
+    """An explicit ``backend="vectorized"`` request for a scenario that has
+    no registered vectorized kernel.
+
+    Raised instead of silently running the event engine, so that
+    ``--backend vectorized`` always means what it says; request ``auto``
+    for the per-scenario fallback behaviour.
+    """
+
+
+def resolve_backend(scenario_id: str, backend: str) -> str:
+    """Resolve a requested backend to the one that will actually run.
+
+    ``"auto"`` resolves to ``"vectorized"`` exactly when a kernel is
+    registered for ``scenario_id`` and to ``"event"`` otherwise (the
+    per-scenario fallback).  ``"vectorized"`` demands a kernel: a scenario
+    without one raises :class:`MissingKernelError` naming the scenario
+    rather than silently falling back.  ``"event"`` is always honoured
+    verbatim.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if backend == "event":
+        return "event"
+    if has_kernel(scenario_id):
+        return "vectorized"
+    if backend == "vectorized":
+        raise MissingKernelError(
+            f"scenario {scenario_id!r} has no vectorized kernel; registered "
+            f"kernels: {kernel_ids()}. Use backend='auto' to fall back to "
+            f"the event engine for uncovered scenarios."
+        )
+    return "event"
+
+
+def simulate_scenario_batch(
+    scenario_id: str,
+    seeds: Sequence[np.random.SeedSequence],
+    params: Mapping[str, Any],
+) -> list[dict[str, float]]:
+    """Run all replications of ``scenario_id`` through its vectorized
+    kernel.  Raises ``KeyError`` when no kernel is registered."""
+    rows = get_kernel(scenario_id).fn(seeds, params)
+    if len(rows) != len(seeds):
+        raise RuntimeError(
+            f"kernel for {scenario_id} returned {len(rows)} rows for "
+            f"{len(seeds)} seeds"
+        )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -240,8 +298,8 @@ def run_scenario(
         one exists — never changes results, only wall-clock time.
         Requesting ``"vectorized"`` for a scenario without a kernel (or
         for an ad-hoc, unregistered scenario object) raises
-        :class:`~repro.experiments.backends.MissingKernelError` naming
-        the scenario instead of silently running the event engine.
+        :class:`MissingKernelError` naming the scenario instead of
+        silently running the event engine.
     target_precision:
         Switch to adaptive sequential replication: a
         :class:`~repro.sim.sequential.PrecisionTarget`, or a bare float

@@ -40,13 +40,14 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from repro.experiments.backends import MissingKernelError, resolve_backend
 from repro.experiments.cli import (
     CliError,
     _emit,
     _literal,
     _parse_param,
-    _validate_run_args as _validate_shared_run_args,
+    output_flags,
+    run_flags,
+    run_options,
 )
 from repro.experiments.registry import get_scenario, list_scenarios, pack_info
 from repro.experiments.report import (
@@ -54,15 +55,15 @@ from repro.experiments.report import (
     generate_sweep_markdown,
     sweep_to_json,
 )
+from repro.experiments.runner import MissingKernelError, resolve_backend
 from repro.experiments.sweeps import (
     SWEEP_MODES,
     SweepSpec,
     run_sweep,
     sweep_run_config,
 )
-from repro.sim.sequential import DEFAULT_MAX_REPS, DEFAULT_MIN_REPS
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "spec_flags", "build_spec"]
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -142,40 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="show one scenario's full parameter schema (name + default)",
     )
 
-    run = sub.add_parser("run", help="expand and run one sweep")
-    run.add_argument("scenario", help="registered scenario id (e.g. E12)")
-    run.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        type=_parse_axis,
-        metavar="NAME=V1,V2,...",
-        help="one swept parameter and its values (repeatable; values are "
-        "Python literals, commas inside (...)/[...] nest)",
-    )
-    run.add_argument(
-        "--mode",
-        choices=[m for m in SWEEP_MODES if m != "list"],
-        default="grid",
-        help="how axes combine: grid = cartesian product (default), "
-        "zip = equal-length axes advanced in lockstep",
-    )
-    run.add_argument(
-        "--point",
-        action="append",
-        default=[],
-        type=_parse_point,
-        metavar="K1=V1,K2=V2",
-        help="one explicit sweep point (repeatable); mutually exclusive "
-        "with --axis/--mode",
-    )
-    run.add_argument(
-        "--base",
-        action="append",
-        default=[],
-        type=_parse_param,
-        metavar="KEY=VALUE",
-        help="fixed parameter override applied to every point (repeatable)",
+    run = sub.add_parser(
+        "run",
+        parents=[spec_flags(), run_flags(), output_flags()],
+        help="expand and run one sweep",
     )
     run.add_argument(
         "--where",
@@ -187,88 +158,83 @@ def build_parser() -> argparse.ArgumentParser:
         "filtering never changes a surviving point's samples)",
     )
     run.add_argument(
-        "--replications", type=int, default=10, help="replications per point"
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per point (0 = all cores); results are "
-        "identical for every worker count",
-    )
-    run.add_argument("--seed", type=int, default=0, help="root seed (shared "
-                     "by all points: common random numbers across the grid)")
-    run.add_argument(
-        "--backend",
-        choices=["event", "vectorized", "auto"],
-        default="auto",
-        help="simulation backend for every point (bit-for-bit equivalent; "
-        "vectorized errors if the scenario has no kernel)",
-    )
-    run.add_argument(
-        "--level", type=float, default=0.95, help="confidence level"
-    )
-    run.add_argument(
-        "--target-precision",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive mode: grow each point's replication count until "
-        "every metric's relative CI half-width is <= REL; --replications "
-        "is ignored, each point records its achieved n",
-    )
-    run.add_argument(
-        "--min-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: first evaluation point (default "
-        f"{DEFAULT_MIN_REPS}); requires --target-precision",
-    )
-    run.add_argument(
-        "--max-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: hard replication cap per point (default "
-        f"{DEFAULT_MAX_REPS}); requires --target-precision",
-    )
-    run.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="content-addressed sample store; every point addresses its "
-        "own entry, so re-running the sweep loads every point from cache",
-    )
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir (neither read nor write the sample store)",
-    )
-    run.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the sweep JSON document to PATH ('-' for stdout)",
-    )
-    run.add_argument(
-        "--markdown",
-        metavar="PATH",
-        help="write the Markdown sweep report to PATH ('-' for stdout)",
-    )
-    run.add_argument(
-        "--include-samples",
-        action="store_true",
-        help="embed raw per-replication samples in the JSON output",
-    )
-    run.add_argument(
         "--canonical",
         action="store_true",
         help="emit the run-independent document projection (timings, "
         "cache-hit counts and store location neutralised) — byte-identical "
         "across re-runs and to documents served by repro-serve",
     )
-    run.add_argument(
-        "--quiet", action="store_true", help="suppress per-point progress"
-    )
     return parser
+
+
+def spec_flags() -> argparse.ArgumentParser:
+    """Parent parser of the sweep-spec arguments (the scenario plus
+    ``--axis``/``--mode``/``--point``/``--base``), shared by ``repro-sweep
+    run`` and ``repro-serve submit``; :func:`build_spec` turns them into a
+    :class:`~repro.experiments.sweeps.SweepSpec`."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("scenario", help="registered scenario id (e.g. E12)")
+    flags.add_argument(
+        "--axis",
+        action="append",
+        default=[],
+        type=_parse_axis,
+        metavar="NAME=V1,V2,...",
+        help="one swept parameter and its values (repeatable; values are "
+        "Python literals, commas inside (...)/[...] nest)",
+    )
+    flags.add_argument(
+        "--mode",
+        choices=[m for m in SWEEP_MODES if m != "list"],
+        default="grid",
+        help="how axes combine: grid = cartesian product (default), "
+        "zip = equal-length axes advanced in lockstep",
+    )
+    flags.add_argument(
+        "--point",
+        action="append",
+        default=[],
+        type=_parse_point,
+        metavar="K1=V1,K2=V2",
+        help="one explicit sweep point (repeatable); mutually exclusive "
+        "with --axis/--mode",
+    )
+    flags.add_argument(
+        "--base",
+        action="append",
+        default=[],
+        type=_parse_param,
+        metavar="KEY=VALUE",
+        help="fixed parameter override applied to every point (repeatable)",
+    )
+    return flags
+
+
+def build_spec(args: argparse.Namespace) -> SweepSpec:
+    """The sweep :func:`spec_flags` describe, not yet resolved against the
+    scenario registry; misuse of the flags is a :class:`CliError`."""
+    if args.point and (args.axis or args.mode != "grid"):
+        raise CliError(
+            "--point gives an explicit point list; it cannot be combined "
+            "with --axis or --mode"
+        )
+    if not args.point and not args.axis:
+        raise CliError("a sweep needs at least one --axis (or --point)")
+    names = [name for name, _ in args.axis]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CliError(f"axis name(s) repeated: {', '.join(repeated)}")
+    base = dict(args.base)
+    try:
+        if args.point:
+            return SweepSpec(
+                args.scenario, mode="list", points=args.point, base=base
+            )
+        return SweepSpec(
+            args.scenario, axes=dict(args.axis), mode=args.mode, base=base
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _cmd_list(scenario_id: str | None) -> int:
@@ -292,56 +258,18 @@ def _cmd_list(scenario_id: str | None) -> int:
     return 0
 
 
-def _validate_run_args(args: argparse.Namespace) -> None:
-    """Sweep-specific flag validation on top of the shared runner-flag
-    rules (which live in :func:`repro.experiments.cli._validate_run_args`
-    so the two CLIs cannot drift)."""
-    if args.point and (args.axis or args.mode != "grid"):
-        raise CliError(
-            "--point gives an explicit point list; it cannot be combined "
-            "with --axis or --mode"
-        )
-    if not args.point and not args.axis:
-        raise CliError("a sweep needs at least one --axis (or --point)")
-    _validate_shared_run_args(args)
-    duplicates = {name for i, (name, _) in enumerate(args.axis)
-                  if name in [n for n, _ in args.axis[:i]]}
-    if duplicates:
-        raise CliError(
-            f"axis name(s) repeated: {', '.join(sorted(duplicates))}"
-        )
-
-
-def _build_spec(args: argparse.Namespace) -> SweepSpec:
-    base = dict(args.base)
-    try:
-        if args.point:
-            spec = SweepSpec(
-                args.scenario, mode="list", points=args.point, base=base
-            )
-        else:
-            spec = SweepSpec(
-                args.scenario,
-                axes=dict(args.axis),
-                mode=args.mode,
-                base=base,
-            )
-        spec.resolve()  # fail on unknown scenario / axis names before running
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc.args[0]) if exc.args else str(exc)) from exc
-    return spec
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    _validate_run_args(args)
-    spec = _build_spec(args)
+    spec = build_spec(args)
+    run = run_options(args)
     cache_dir = None if args.no_cache else args.cache_dir
-    if args.backend == "vectorized":
-        # fail fast, before any point burns simulation time
-        try:
+    # fail on unknown scenario / axis names and a missing kernel before
+    # any point burns simulation time
+    try:
+        spec.resolve()
+        if run["backend"] == "vectorized":
             resolve_backend(spec.scenario_id, "vectorized")
-        except MissingKernelError as exc:
-            raise CliError(str(exc)) from exc
+    except (KeyError, MissingKernelError) as exc:
+        raise CliError(exc.args[0]) from exc
 
     def progress(point, res) -> None:
         if args.quiet:
@@ -365,14 +293,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         sweep = run_sweep(
             spec,
-            replications=args.replications,
-            seed=args.seed,
-            workers=args.workers,
-            level=args.level,
-            backend=args.backend,
-            target_precision=args.target_precision,
-            min_reps=args.min_reps,
-            max_reps=args.max_reps,
+            **run,
             cache_dir=cache_dir,
             where=dict(args.where) or None,
             progress=progress,
@@ -381,15 +302,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise CliError(str(exc.args[0]) if exc.args else str(exc)) from exc
 
     config = sweep_run_config(
-        replications=args.replications,
-        seed=args.seed,
-        workers=args.workers,
-        backend=args.backend,
+        **run,
         resolved_backends=[r.backend for r in sweep.results],
-        level=args.level,
-        target_precision=args.target_precision,
-        min_reps=args.min_reps,
-        max_reps=args.max_reps,
         cache_dir=cache_dir,
     )
     if args.json or args.markdown:

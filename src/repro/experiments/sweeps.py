@@ -24,6 +24,11 @@ scenario into a *family* of parameter points from a declarative spec:
   a long-form table keyed by ``(scenario_id, axis values)`` (one row per
   point per metric) and per-axis marginal summaries (metric means
   averaged over the other axes).
+* :data:`RUN_DEFAULTS` and :func:`check_run_options` — the runner
+  options every entry point shares (``repro-experiments run``,
+  ``repro-sweep run`` and daemon submissions), their defaults and their
+  one validation; :func:`sweep_run_config` turns them into a sweep
+  document's ``config`` block.
 
 Determinism contract
 --------------------
@@ -53,9 +58,13 @@ from itertools import product
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.experiments.registry import Scenario, get_scenario
-from repro.experiments.runner import ScenarioResult, run_scenarios
+from repro.experiments.runner import BACKENDS, ScenarioResult, run_scenarios
 from repro.experiments.store import SampleStore, StoreBackend
-from repro.sim.sequential import PrecisionTarget
+from repro.sim.sequential import (
+    DEFAULT_MAX_REPS,
+    DEFAULT_MIN_REPS,
+    PrecisionTarget,
+)
 from repro.utils.serialization import jsonable
 
 import repro
@@ -63,10 +72,12 @@ import repro
 __all__ = [
     "SWEEP_MODES",
     "SWEEP_SCHEMA",
+    "RUN_DEFAULTS",
     "SweepSpec",
     "SweepPoint",
     "SweepResult",
     "run_sweep",
+    "check_run_options",
     "sweep_run_config",
 ]
 
@@ -533,6 +544,80 @@ def run_sweep(
         elapsed_seconds=elapsed,
         where=dict(where or {}),
     )
+
+
+#: The runner options shared by ``repro-experiments run``, ``repro-sweep
+#: run`` and daemon submissions, with their defaults: every CLI flag
+#: default reads from here, and a submission's empty ``run`` block means
+#: what the one-shot CLI would have done.
+RUN_DEFAULTS: dict[str, Any] = {
+    "replications": 10,
+    "seed": 0,
+    "workers": 1,
+    "backend": "auto",
+    "level": 0.95,
+    "target_precision": None,
+    "min_reps": None,
+    "max_reps": None,
+}
+
+
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_run_options(
+    run: Mapping[str, Any], *, name: Callable[[str], str] = "run.{}".format
+) -> dict[str, Any]:
+    """Validate runner options and fill in their defaults.
+
+    The one check behind every boundary: the CLIs map its ``ValueError``
+    to exit status 2 and the daemon to an HTTP 400, so an option one of
+    them accepts never fails later inside the runner.  ``name`` spells an
+    option key the way the caller's user wrote it (``run.min_reps`` by
+    default, ``--min-reps`` for a CLI); the error message names the
+    offending option that way.  Returns the mapping with every
+    :data:`RUN_DEFAULTS` key present.
+    """
+    if not isinstance(run, Mapping):
+        raise ValueError(f"run must be a mapping, got {type(run).__name__}")
+    unknown = sorted(set(run) - set(RUN_DEFAULTS))
+    if unknown:
+        raise ValueError(
+            f"run has unknown option(s) {unknown}; known: {sorted(RUN_DEFAULTS)}"
+        )
+    merged = {**RUN_DEFAULTS, **run}
+
+    def check(key: str, ok: Callable[[Any], bool], rule: str) -> None:
+        if not ok(merged[key]):
+            raise ValueError(f"{name(key)} must be {rule} (got {merged[key]!r})")
+
+    check("replications", lambda v: _integer(v) and v >= 1, "an integer >= 1")
+    check("seed", lambda v: _integer(v) and v >= 0, "an integer >= 0")
+    check("workers", lambda v: _integer(v) and v >= 0,
+          "an integer >= 0, 0 meaning all cores")
+    check("backend", lambda v: v in BACKENDS, f"one of {BACKENDS}")
+    check("level", lambda v: _number(v) and 0 < v < 1,
+          "a number strictly between 0 and 1, e.g. 0.95")
+    check("target_precision", lambda v: v is None or (_number(v) and v > 0),
+          "a number > 0")
+    for key in ("min_reps", "max_reps"):
+        if merged[key] is not None and merged["target_precision"] is None:
+            raise ValueError(f"{name(key)} requires {name('target_precision')}")
+        check(key, lambda v: v is None or (_integer(v) and v >= 2),
+              "an integer >= 2")
+    if merged["target_precision"] is not None:
+        lo = DEFAULT_MIN_REPS if merged["min_reps"] is None else merged["min_reps"]
+        hi = DEFAULT_MAX_REPS if merged["max_reps"] is None else merged["max_reps"]
+        if hi < lo:
+            raise ValueError(
+                f"{name('max_reps')} ({hi}) must be >= {name('min_reps')} ({lo})"
+            )
+    return merged
 
 
 def sweep_run_config(

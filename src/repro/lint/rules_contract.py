@@ -13,8 +13,7 @@ the runtime only discovers late (or not at all):
   the pack is registered — after an import somebody may never trigger);
 * ``REP012`` — public definitions in ``repro.experiments``,
   ``repro.sim``, ``repro.bench``, and pack modules carry docstrings
-  (the former ``scripts/check_docstrings.py`` gate, now one rule of the
-  shared AST walk);
+  (``repro-lint --select REP012`` runs it alone);
 * ``REP013`` — bench metric specs that declare a ``direction`` also
   declare a ``tolerance`` or ``floor``, so the regression gate never
   silently falls back to its default slack.

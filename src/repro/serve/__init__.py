@@ -23,7 +23,6 @@ cache state, or daemon restarts.
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import Job, SweepServer
 from repro.serve.jobs import (
-    RUN_DEFAULTS,
     SUBMIT_SCHEMA,
     CostModel,
     Submission,
@@ -35,7 +34,6 @@ from repro.serve.testing import ServerHarness
 __all__ = [
     "CostModel",
     "Job",
-    "RUN_DEFAULTS",
     "SUBMIT_SCHEMA",
     "ServeClient",
     "ServeError",

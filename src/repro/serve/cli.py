@@ -11,12 +11,14 @@ Drive the sweep-serving daemon from the shell::
     repro-serve stop --url http://127.0.0.1:8631
 
 ``submit`` takes the same sweep flags as ``repro-sweep run`` (``--axis``
-/ ``--mode`` / ``--point`` / ``--base`` plus all the runner flags) and
-turns them into one ``repro.serve/v1`` submission; the daemon answers
-with the content-addressed job id — re-submitting an identical sweep
-returns the same job without re-running anything.  Fetched documents are
-written **byte-for-byte** as served, so they are byte-identical to
-``repro-sweep run … --canonical --json`` output for the same request.
+/ ``--mode`` / ``--point`` / ``--base`` plus all the runner flags; one
+definition and one check serve both, and the check runs before any
+network call) and turns them into one ``repro.serve/v1`` submission;
+the daemon answers with the content-addressed job id — re-submitting an
+identical sweep returns the same job without re-running anything.
+Fetched documents are written **byte-for-byte** as served, so they are
+byte-identical to ``repro-sweep run … --canonical --json`` output for
+the same request.
 
 Exit status follows the house convention: 0 on success (for ``--wait``
 fetches: every point passes its scenario checks), 1 when a fetched
@@ -30,14 +32,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
-from repro.experiments.cli import CliError, _parse_param
-from repro.experiments.sweep_cli import _parse_axis, _parse_point
-from repro.experiments.sweeps import SWEEP_MODES, SweepSpec
+from repro.experiments.cli import CliError, run_flags, run_options
+from repro.experiments.sweep_cli import build_spec, spec_flags
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import SweepServer
-from repro.serve.jobs import RUN_DEFAULTS, SUBMIT_SCHEMA
+from repro.serve.jobs import SUBMIT_SCHEMA
 
 __all__ = ["main", "build_parser"]
 
@@ -92,85 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     submit = sub.add_parser(
-        "submit", help="submit one sweep (same sweep flags as repro-sweep run)"
-    )
-    submit.add_argument("scenario", help="registered scenario id (e.g. E12)")
-    submit.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        type=_parse_axis,
-        metavar="NAME=V1,V2,...",
-        help="one swept parameter and its values (repeatable)",
-    )
-    submit.add_argument(
-        "--mode",
-        choices=[m for m in SWEEP_MODES if m != "list"],
-        default="grid",
-        help="how axes combine: grid (default) or zip",
-    )
-    submit.add_argument(
-        "--point",
-        action="append",
-        default=[],
-        type=_parse_point,
-        metavar="K1=V1,K2=V2",
-        help="one explicit sweep point (repeatable); mutually exclusive "
-        "with --axis/--mode",
-    )
-    submit.add_argument(
-        "--base",
-        action="append",
-        default=[],
-        type=_parse_param,
-        metavar="KEY=VALUE",
-        help="fixed parameter override applied to every point (repeatable)",
-    )
-    submit.add_argument(
-        "--replications",
-        type=int,
-        default=RUN_DEFAULTS["replications"],
-        help="replications per point",
-    )
-    submit.add_argument(
-        "--seed", type=int, default=RUN_DEFAULTS["seed"], help="root seed"
-    )
-    submit.add_argument(
-        "--workers",
-        type=int,
-        default=RUN_DEFAULTS["workers"],
-        help="worker processes per point on the daemon side",
-    )
-    submit.add_argument(
-        "--backend",
-        choices=["event", "vectorized", "auto"],
-        default=RUN_DEFAULTS["backend"],
-        help="simulation backend for every point",
-    )
-    submit.add_argument(
-        "--level",
-        type=float,
-        default=RUN_DEFAULTS["level"],
-        help="confidence level",
-    )
-    submit.add_argument(
-        "--target-precision",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive mode: per-point precision target",
-    )
-    submit.add_argument(
-        "--min-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: first evaluation point",
-    )
-    submit.add_argument(
-        "--max-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: hard replication cap per point",
+        "submit",
+        parents=[spec_flags(), run_flags()],
+        help="submit one sweep (same sweep flags as repro-sweep run)",
     )
     submit.add_argument(
         "--wait",
@@ -182,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="with --wait: write the fetched document to PATH ('-' for "
         "stdout), byte-for-byte as served",
-    )
-    submit.add_argument(
-        "--quiet", action="store_true", help="suppress per-point progress"
     )
     _add_url(submit)
 
@@ -254,45 +176,16 @@ def _cmd_start(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_submission(args: argparse.Namespace) -> dict[str, Any]:
-    """Assemble the wire-form submission from repro-sweep-style flags."""
-    if args.point and (args.axis or args.mode != "grid"):
-        raise CliError(
-            "--point gives an explicit point list; it cannot be combined "
-            "with --axis or --mode"
-        )
-    if not args.point and not args.axis:
-        raise CliError("a sweep needs at least one --axis (or --point)")
-    if args.point:
-        spec = SweepSpec(
-            args.scenario, mode="list", points=args.point, base=dict(args.base)
-        )
-    else:
-        spec = SweepSpec(
-            args.scenario,
-            axes=dict(args.axis),
-            mode=args.mode,
-            base=dict(args.base),
-        )
-    return {
-        "schema": SUBMIT_SCHEMA,
-        "spec": spec.to_dict(),
-        "run": {
-            "replications": args.replications,
-            "seed": args.seed,
-            "workers": args.workers,
-            "backend": args.backend,
-            "level": args.level,
-            "target_precision": args.target_precision,
-            "min_reps": args.min_reps,
-            "max_reps": args.max_reps,
-        },
-    }
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
+    # checked here, before any network round trip, by the same rules the
+    # daemon (and repro-sweep run) apply
+    submission = {
+        "schema": SUBMIT_SCHEMA,
+        "spec": build_spec(args).to_dict(),
+        "run": run_options(args),
+    }
     client = ServeClient(args.url, timeout=args.timeout)
-    accepted = client.submit(_build_submission(args))
+    accepted = client.submit(submission)
     print(json.dumps(accepted, indent=2))
     if not args.wait:
         return 0

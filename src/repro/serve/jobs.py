@@ -33,14 +33,18 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.experiments.backends import MissingKernelError, resolve_backend
 from repro.experiments.registry import ParamValidationError
-from repro.experiments.sweeps import SweepPoint, SweepSpec
+from repro.experiments.runner import MissingKernelError, resolve_backend
+from repro.experiments.sweeps import (
+    RUN_DEFAULTS,
+    SweepPoint,
+    SweepSpec,
+    check_run_options,
+)
 from repro.utils.serialization import canonical_json
 
 __all__ = [
     "SUBMIT_SCHEMA",
-    "RUN_DEFAULTS",
     "SubmissionError",
     "Submission",
     "parse_submission",
@@ -49,20 +53,6 @@ __all__ = [
 
 #: schema tag accepted (and emitted) for submission documents
 SUBMIT_SCHEMA = "repro.serve/v1"
-
-#: run-configuration keys a submission may set, with their defaults —
-#: mirrors the ``repro-sweep run`` flag defaults so an empty ``run``
-#: block means "what the one-shot CLI would have done"
-RUN_DEFAULTS: dict[str, Any] = {
-    "replications": 10,
-    "seed": 0,
-    "workers": 1,
-    "backend": "auto",
-    "level": 0.95,
-    "target_precision": None,
-    "min_reps": None,
-    "max_reps": None,
-}
 
 
 class SubmissionError(ValueError):
@@ -87,9 +77,9 @@ class Submission:
     """One validated sweep request: the spec plus its run configuration.
 
     ``run`` is always the fully normalised mapping (every
-    :data:`RUN_DEFAULTS` key present), so two submissions that differ
-    only in whether a default was spelled out are the *same* submission
-    and share a :attr:`job_id`.
+    :data:`~repro.experiments.sweeps.RUN_DEFAULTS` key present), so two
+    submissions that differ only in whether a default was spelled out are
+    the *same* submission and share a :attr:`job_id`.
     """
 
     spec: SweepSpec
@@ -127,57 +117,14 @@ class Submission:
         return self.spec.expand()
 
 
-def _check_run(run: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate and normalise a submission's ``run`` block."""
-    if not isinstance(run, Mapping):
-        raise SubmissionError(
-            f"run must be a mapping, got {type(run).__name__}"
-        )
-    unknown = sorted(set(run) - set(RUN_DEFAULTS))
-    if unknown:
-        raise SubmissionError(
-            f"run has unknown option(s) {unknown}; "
-            f"known: {sorted(RUN_DEFAULTS)}"
-        )
-    merged = {**RUN_DEFAULTS, **dict(run)}
-    if not isinstance(merged["replications"], int) or merged["replications"] < 1:
-        raise SubmissionError("run.replications must be an integer >= 1")
-    if not isinstance(merged["seed"], int):
-        raise SubmissionError(
-            "run.seed must be an integer — the daemon's dedup and resume "
-            "both key on the root seed, so it cannot be omitted or null"
-        )
-    if not isinstance(merged["workers"], int) or merged["workers"] < 0:
-        raise SubmissionError("run.workers must be an integer >= 0")
-    if merged["backend"] not in ("event", "vectorized", "auto"):
-        raise SubmissionError(
-            f"run.backend must be 'event', 'vectorized' or 'auto', "
-            f"got {merged['backend']!r}"
-        )
-    if not isinstance(merged["level"], (int, float)) or not 0 < merged["level"] < 1:
-        raise SubmissionError("run.level must lie strictly inside (0, 1)")
-    tp = merged["target_precision"]
-    if tp is not None and (not isinstance(tp, (int, float)) or tp <= 0):
-        raise SubmissionError("run.target_precision must be a positive number")
-    for bound in ("min_reps", "max_reps"):
-        value = merged[bound]
-        if value is not None:
-            if tp is None:
-                raise SubmissionError(
-                    f"run.{bound} is only valid with run.target_precision"
-                )
-            if not isinstance(value, int) or value < 1:
-                raise SubmissionError(f"run.{bound} must be an integer >= 1")
-    return merged
-
-
 def parse_submission(obj: Any) -> Submission:
     """Validate a wire-form submission into a :class:`Submission`.
 
     Checks, in order: the document shape and schema tag, the sweep spec
     (via :meth:`SweepSpec.from_dict` and ``resolve()`` — unknown
     scenarios and axis names fail here), the run block
-    (:func:`_check_run`), backend availability (a ``vectorized`` request
+    (:func:`~repro.experiments.sweeps.check_run_options`, the check the
+    CLIs run too), backend availability (a ``vectorized`` request
     for a kernel-less scenario fails at submit, not mid-job), and every
     expanded point's parameter values against the scenario's declared
     JSON schema.  Anything wrong raises :class:`SubmissionError`.
@@ -205,7 +152,10 @@ def parse_submission(obj: Any) -> Submission:
         raise SubmissionError(
             str(exc.args[0]) if exc.args else str(exc), code="invalid-spec"
         ) from exc
-    run = _check_run(obj.get("run") or {})
+    try:
+        run = check_run_options(obj.get("run") or {})
+    except ValueError as exc:
+        raise SubmissionError(str(exc)) from exc
     if run["backend"] == "vectorized":
         try:
             resolve_backend(sc.scenario_id, "vectorized")

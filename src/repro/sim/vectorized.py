@@ -10,7 +10,10 @@ same order the event-driven path draws them.  The contract is therefore
 *bit-for-bit*: for the same spawned seeds a kernel must return exactly the
 per-replication metric dictionaries the event-driven backend returns —
 ``tests/test_backend_equivalence.py`` enforces this for every registered
-kernel.
+kernel, and ``docs/ARCHITECTURE.md`` ("Seed-handling contract") lists
+the rules a kernel follows to keep it.  The runner maps a backend
+request to the backend that runs
+(:func:`repro.experiments.runner.resolve_backend`).
 
 Two ingredients live here:
 

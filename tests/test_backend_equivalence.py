@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import kernel_ids, run_scenario, scenario_ids
-from repro.experiments.backends import (
+from repro.experiments.runner import (
     MissingKernelError,
     resolve_backend,
     simulate_scenario_batch,

@@ -559,3 +559,9 @@ def test_cli_cache_dir_reuses_samples_and_no_cache_disables(tmp_path):
 def test_cli_zero_replications_errors(capsys):
     assert cli_main(["run", "E1", "--replications", "0"]) == 2
     assert "--replications" in capsys.readouterr().err
+
+
+def test_cli_negative_workers_errors(capsys):
+    # 0 means all cores; a negative count is a usage error, not "all cores"
+    assert cli_main(["run", "E5", "--replications", "2", "--workers", "-1"]) == 2
+    assert "--workers" in capsys.readouterr().err

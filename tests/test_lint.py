@@ -1,14 +1,12 @@
 """Tests for ``repro-lint``: the engine, every rule, suppression
 semantics, ``--select``/``--ignore``, exit codes 0/1/2, the degraded
-``REP000`` path for unparseable files, the docstring-gate shim, and the
-meta-test that the committed tree lints clean (including the acceptance
-injections: a ``np.random.seed`` call and a schema/defaults mismatch in
-a pack module must each exit 1 naming the rule, file, and line)."""
+``REP000`` path for unparseable files, and the meta-test that the
+committed tree lints clean (including the acceptance injections: a
+``np.random.seed`` call and a schema/defaults mismatch in a pack module
+must each exit 1 naming the rule, file, and line)."""
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -708,38 +706,3 @@ class TestCommittedTree:
         out = capsys.readouterr().out
         assert "REP010" in out and "'E15'" in out
         assert "horizonx" in out and str(target) in out
-
-
-# ---------------------------------------------------------------------------
-# the docstring-gate shim
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-class TestDocstringShim:
-    def test_shim_delegates_to_rep012_and_passes(self):
-        env_path = f"{REPO / 'src'}:{REPO / 'examples' / 'demo_pack'}"
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "check_docstrings.py"), "--packs"],
-            capture_output=True,
-            text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": env_path},
-            cwd=REPO,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "clean" in proc.stderr
-
-    def test_shim_unimportable_package_exits_2(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "scripts" / "check_docstrings.py"),
-                "no.such.package",
-            ],
-            capture_output=True,
-            text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO / "src")},
-            cwd=REPO,
-        )
-        assert proc.returncode == 2
-        assert "error" in proc.stderr

@@ -51,8 +51,8 @@ class TestModuleNameFallback:
         assert self._ctx("src/repro/__init__.py").module_name == "repro"
 
     def test_scripts_get_dotted_fallback(self):
-        ctx = self._ctx("scripts/check_docstrings.py")
-        assert ctx.module_name == "scripts.check_docstrings"
+        ctx = self._ctx("scripts/check_bench_regression.py")
+        assert ctx.module_name == "scripts.check_bench_regression"
 
     def test_fallback_stops_at_non_identifier_component(self):
         ctx = self._ctx("/tmp/some-dir/pkg/mod.py")
@@ -62,7 +62,7 @@ class TestModuleNameFallback:
         assert self._ctx("weird-name.py").module_name == "weird-name"
 
     def test_fallback_names_sit_outside_every_layer(self):
-        assert layer_of("scripts.check_docstrings") is None
+        assert layer_of("scripts.check_bench_regression") is None
         assert layer_of("examples.demo_pack.repro_demo_pack") is None
 
     def test_default_paths_include_scripts(self):

@@ -138,8 +138,8 @@ def test_register_pack_rejects_non_pack():
 
 
 def test_reimporting_a_builtin_pack_module_is_a_noop():
-    # the historical crash: importing repro.experiments.scenarios twice
-    # (or reloading a pack module) raised "already registered"
+    # the historical crash: importing a pack module twice (or reloading
+    # it) raised "already registered"
     from repro.experiments import register_pack
     from repro.experiments.packs import flowshop
 
@@ -336,6 +336,20 @@ def test_demo_pack_discovered_via_entry_point_and_runs_through_both_clis(tmp_pat
     )
     assert proc.returncode == 2
     assert "invalid parameters for scenario DEMO1" in proc.stderr
+
+
+def test_packs_are_discovered_on_first_lookup_not_on_import():
+    code = (
+        "import sys, repro.experiments, repro.experiments.sweep_cli, "
+        "repro.serve.cli\n"
+        "from repro.experiments.packs import BUILTIN_PACK_MODULES as mods\n"
+        "assert not set(mods) & set(sys.modules), 'pack imported eagerly'\n"
+        "from repro.experiments import get_scenario, has_kernel\n"
+        "assert has_kernel('E1') and get_scenario('E15')\n"
+        "assert set(mods) <= set(sys.modules)\n"
+    )
+    proc = _run(["-c", code], extra_path=REPO / "src")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.slow

@@ -25,7 +25,12 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.experiments.sweep_cli import main as sweep_main
-from repro.serve import ServeError, ServerHarness
+from repro.serve import (
+    ServeError,
+    ServerHarness,
+    SubmissionError,
+    parse_submission,
+)
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import SweepServer
 
@@ -240,6 +245,37 @@ def test_serve_submit_cli_exits_2_on_invalid_submission(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2
         assert "needs at least one --axis" in err
+
+
+def test_serve_submit_cli_rejects_repeated_axis_before_the_network(capsys):
+    # port 9 has no daemon: a check that ran after the request would
+    # report "cannot reach daemon" instead
+    rc = serve_main(["submit", "E1", "--axis", "n_jobs=10", "--axis",
+                     "n_jobs=20", "--url", "http://127.0.0.1:9"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "repeated" in err and "n_jobs" in err
+    assert "cannot reach daemon" not in err
+
+
+@pytest.mark.parametrize(
+    "run, option",
+    [
+        ({"target_precision": 0.1, "min_reps": 1}, "run.min_reps"),
+        ({"target_precision": 0.1, "min_reps": 8, "max_reps": 4},
+         "run.max_reps"),
+        ({"replications": True}, "run.replications"),
+        ({"seed": -1}, "run.seed"),
+        ({"workers": -1}, "run.workers"),
+    ],
+)
+def test_parse_submission_rejects_what_the_runner_would(run, option):
+    # each of these used to be accepted, then fail the job at run time
+    payload = {"spec": {"scenario_id": "E5", "axes": {"m": [2]}}, "run": run}
+    with pytest.raises(SubmissionError) as exc_info:
+        parse_submission(payload)
+    assert exc_info.value.code == "invalid-submission"
+    assert str(exc_info.value).startswith(option)
 
 
 def test_serve_cli_exits_2_when_daemon_is_unreachable(capsys):

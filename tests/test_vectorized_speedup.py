@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import BenchRecordError, latest_record, load_trajectory
-from repro.experiments.backends import simulate_scenario_batch
+from repro.experiments.runner import simulate_scenario_batch
 from repro.experiments.registry import get_scenario
 from repro.utils.rng import spawn_seed_sequences
 
