@@ -42,8 +42,6 @@ def _distribution_version() -> str:
 # owning pack's version instead (repro/experiments/store.py).
 __version__ = _distribution_version()
 
-from repro import batch, core, distributions, markov, mdp, sim, utils  # noqa: F401
-
 __all__ = [
     "batch",
     "bandits",
@@ -60,10 +58,11 @@ __all__ = [
 
 
 def __getattr__(name):
-    # bandits, queueing and experiments are imported lazily so a partial
-    # checkout of the light subpackages stays importable (experiments pulls
-    # in every subsystem through its scenario catalogue).
-    if name in ("bandits", "queueing", "experiments"):
+    # Every subpackage is imported on first access, so an entry point pays
+    # only for what it uses: ``repro-lint`` never loads numpy, and the CLIs
+    # never load the scipy modules the LP solvers need (docs/ARCHITECTURE.md,
+    # "Import policy").
+    if name in __all__ and name != "__version__":
         import importlib
 
         return importlib.import_module(f"repro.{name}")

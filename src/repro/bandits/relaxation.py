@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.bandits.restless import RestlessProject, whittle_indices
 from repro.core.indices import IndexRule, StaticIndexRule
@@ -38,6 +37,8 @@ def average_relaxation_bound(
     flow balance, total mass 1 and activation mass ``sum_s x(s,1) = alpha``.
     Returns ``(bound_per_project, x)`` with x of shape (2, n_states).
     """
+    from scipy.optimize import linprog
+
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0, 1]")
     n = project.n_states
@@ -74,6 +75,8 @@ def primal_dual_indices(project: RestlessProject, alpha: float) -> np.ndarray:
     where ``h`` comes from the flow-balance duals. States the relaxation
     wants active get positive indices.
     """
+    from scipy.optimize import linprog
+
     n = project.n_states
     nv = 2 * n
     c = -np.concatenate([project.R0, project.R1])

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.conservation import (
     priority_performance_vector,
@@ -73,6 +72,8 @@ def achievable_region_lp(
     Cobham's formulas. Intended for the survey's regime of a handful of
     classes (N <= ~12).
     """
+    from scipy.optimize import linprog
+
     lam = np.asarray(arrival_rates, dtype=float)
     ms = np.asarray(mean_services, dtype=float)
     m2 = np.asarray(second_moments, dtype=float)

@@ -67,6 +67,7 @@ __all__ = [
     "run_flags",
     "output_flags",
     "run_options",
+    "unique_keys",
 ]
 
 
@@ -91,6 +92,17 @@ def _parse_param(text: str) -> tuple[str, Any]:
         )
     key, raw = text.split("=", 1)
     return key.strip(), _literal(raw)
+
+
+def unique_keys(pairs: Sequence[tuple[str, Any]], what: str) -> dict[str, Any]:
+    """The ``(key, value)`` pairs of a repeatable flag as a dict; a key
+    given twice is a :class:`CliError` (``what`` names the key, e.g.
+    ``"--param key"``) rather than a silent last-one-wins."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise CliError(f"{what}(s) repeated: {', '.join(repeated)}")
+    return dict(pairs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +317,7 @@ def _resolve_ids(requested: Sequence[str]) -> list[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     ids = _resolve_ids(args.scenarios)
-    params = dict(args.param)
+    params = unique_keys(args.param, "--param key")
     run = run_options(args)
     cache_dir = None if args.no_cache else args.cache_dir
     # every override must be meaningful for at least one selected scenario

@@ -48,6 +48,7 @@ from repro.experiments.cli import (
     output_flags,
     run_flags,
     run_options,
+    unique_keys,
 )
 from repro.experiments.registry import get_scenario, list_scenarios, pack_info
 from repro.experiments.report import (
@@ -119,7 +120,12 @@ def _parse_point(text: str) -> dict[str, Any]:
                 f"point entry {item!r} is not of the form key=value"
             )
         key, raw = item.split("=", 1)
-        point[key.strip()] = _literal(raw)
+        key = key.strip()
+        if key in point:
+            raise argparse.ArgumentTypeError(
+                f"point {text!r} repeats key {key!r}"
+            )
+        point[key] = _literal(raw)
     if not point:
         raise argparse.ArgumentTypeError(f"point {text!r} lists no parameters")
     return point
@@ -220,19 +226,14 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
         )
     if not args.point and not args.axis:
         raise CliError("a sweep needs at least one --axis (or --point)")
-    names = [name for name, _ in args.axis]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise CliError(f"axis name(s) repeated: {', '.join(repeated)}")
-    base = dict(args.base)
+    axes = unique_keys(args.axis, "axis name")
+    base = unique_keys(args.base, "--base key")
     try:
         if args.point:
             return SweepSpec(
                 args.scenario, mode="list", points=args.point, base=base
             )
-        return SweepSpec(
-            args.scenario, axes=dict(args.axis), mode=args.mode, base=base
-        )
+        return SweepSpec(args.scenario, axes=axes, mode=args.mode, base=base)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -261,6 +262,7 @@ def _cmd_list(scenario_id: str | None) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     run = run_options(args)
+    where = unique_keys(args.where, "--where key")
     cache_dir = None if args.no_cache else args.cache_dir
     # fail on unknown scenario / axis names and a missing kernel before
     # any point burns simulation time
@@ -295,7 +297,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec,
             **run,
             cache_dir=cache_dir,
-            where=dict(args.where) or None,
+            where=where or None,
             progress=progress,
         )
     except (MissingKernelError, KeyError, ValueError) as exc:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.mdp.core import FiniteMDP
 
@@ -97,6 +96,8 @@ def linear_programming(mdp: FiniteMDP, beta: float) -> MDPSolution:
     Included because the survey's achievable-region method is an LP approach;
     this gives an independent check on the iterative solvers.
     """
+    from scipy.optimize import linprog
+
     if not 0 <= beta < 1:
         raise ValueError("beta must be in [0, 1)")
     S, A = mdp.n_states, mdp.n_actions
@@ -238,6 +239,8 @@ def average_reward_lp(mdp: FiniteMDP) -> tuple[float, np.ndarray]:
     ``(n_actions, n_states)``. This is exactly the kind of relaxation the
     achievable-region method builds on.
     """
+    from scipy.optimize import linprog
+
     S, A = mdp.n_states, mdp.n_actions
     idx = {}
     cols = []

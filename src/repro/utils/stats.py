@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _sps
+
+# the Student-t quantile: stdtrit(df, q) is what scipy.stats.t.ppf(q, df)
+# evaluates, without importing scipy.stats (docs/ARCHITECTURE.md, "Import
+# policy")
+from scipy.special import stdtrit
 
 __all__ = [
     "RunningStats",
@@ -176,7 +180,7 @@ def mean_confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean=m, half_width=math.inf, level=level, n=1)
     s = float(xs.std(ddof=1))
-    t = float(_sps.t.ppf(0.5 + level / 2, df=n - 1))
+    t = float(stdtrit(n - 1, 0.5 + level / 2))
     return ConfidenceInterval(mean=m, half_width=t * s / math.sqrt(n), level=level, n=n)
 
 
@@ -261,7 +265,7 @@ def summarize_rows(
     dev = np.where(present, matrix - means, 0.0)
     m2 = (dev**2).sum(axis=0)
     stds = np.where(counts > 1, np.sqrt(m2 / np.maximum(counts - 1, 1)), 0.0)
-    t = _sps.t.ppf(0.5 + level / 2, df=np.maximum(counts - 1, 1))
+    t = stdtrit(np.maximum(counts - 1, 1), 0.5 + level / 2)
     half = np.where(counts > 1, t * stds / np.sqrt(safe), np.inf)
     mins = np.where(
         counts > 0, np.where(present, matrix, np.inf).min(axis=0, initial=np.inf), np.nan

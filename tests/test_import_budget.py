@@ -1,0 +1,136 @@
+"""The import budget: what an entry point loads before it does any work.
+
+A 4-replication E1 run simulates for ~10 ms; importing ``scipy.stats``
+and ``scipy.optimize`` costs several times that.  The policy
+(docs/ARCHITECTURE.md, "Import policy") is: ``numpy`` and
+``scipy.special`` at module scope, every other scipy module imported
+inside the function that uses it, and ``repro`` itself lazy.  Both checks
+here are deterministic (module sets and source lines, never timings).
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+
+HEAVY = ("numpy", "scipy", "scipy.stats", "scipy.optimize")
+NO_LP_OR_STATS = {"scipy.stats", "scipy.optimize"}
+
+#: entry module -> heavy modules it may not leave in ``sys.modules``
+BUDGET = {
+    "repro": {"numpy", "scipy"},
+    "repro.experiments.cli": NO_LP_OR_STATS,
+    "repro.experiments.sweep_cli": NO_LP_OR_STATS,
+    "repro.serve.cli": NO_LP_OR_STATS,
+    "repro.lint.cli": NO_LP_OR_STATS | {"numpy"},
+}
+
+
+def _loaded_after_import(module: str) -> set[str]:
+    code = (
+        f"import json, sys, {module}\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("module", sorted(BUDGET))
+def test_entry_module_stays_within_its_import_budget(module):
+    over = _loaded_after_import(module) & BUDGET[module]
+    assert not over, (
+        f"import {module} loads {sorted(over)}; see "
+        f"`python -X importtime -c 'import {module}'` for the importer"
+    )
+
+
+def _scipy_module(node: ast.stmt) -> list[str]:
+    """The scipy modules an import statement loads (``from scipy import
+    stats`` loads ``scipy.stats``)."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        if node.module == "scipy":
+            return [f"scipy.{a.name}" for a in node.names]
+        if node.module.split(".")[0] == "scipy":
+            return [node.module]
+    return []
+
+
+def _module_scope_statements(tree: ast.Module):
+    """Every statement that runs on import: the module body and the bodies
+    of its classes and compound statements, but not function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            stack.extend(getattr(node, field, []))
+
+
+def module_scope_scipy_imports(root: Path) -> list[str]:
+    """``path:line: module`` for each scipy import outside ``scipy.special``
+    that runs when its module is imported (paths relative to ``root``'s
+    parent, so ``repro/utils/stats.py``)."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in _module_scope_statements(tree):
+            for name in _scipy_module(node):
+                if name.split(".")[:2] != ["scipy", "special"]:
+                    found.append((path.relative_to(root.parent), node.lineno, name))
+    return [f"{path}:{line}: {name}" for path, line, name in sorted(found)]
+
+
+def test_no_module_scope_scipy_import_outside_special():
+    offenders = module_scope_scipy_imports(SRC / "repro")
+    assert not offenders, (
+        "import these inside the functions that use them:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_scope_check_flags_module_and_class_scope_but_not_functions(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from scipy.special import stdtrit\n"
+        "from scipy import stats\n"
+        "try:\n"
+        "    import scipy.optimize\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    from scipy.linalg import expm\n"
+        "    def f(self):\n"
+        "        from scipy.optimize import linprog\n"
+        "def g():\n"
+        "    from scipy import stats\n"
+    )
+    found = module_scope_scipy_imports(tmp_path)
+    assert [line.split(":", 1)[1] for line in found] == [
+        "3: scipy.stats",
+        "5: scipy.optimize",
+        "9: scipy.linalg",
+    ]

@@ -26,8 +26,10 @@ from repro.experiments import (
     run_scenarios,
     run_sweep,
 )
+from repro.experiments.cli import main as experiments_main
 from repro.experiments.sweep_cli import main as sweep_main
 from repro.serve import SubmissionError, parse_submission
+from repro.serve.cli import main as serve_main
 
 SPEC = {"scenario_id": "E5", "axes": {"m": [2]}}
 
@@ -128,3 +130,49 @@ def test_every_boundary_accepts_and_rejects_the_same_run_blocks(run):
 def test_library_defaults_are_the_run_defaults(fn):
     parameters = inspect.signature(fn).parameters
     assert {key: parameters[key].default for key in RUN_DEFAULTS} == RUN_DEFAULTS
+
+
+# port 9 has no daemon: a check that ran after the request would report
+# "cannot reach daemon" instead
+_SUBMIT = ["submit", "E1", "--url", "http://127.0.0.1:9", "--axis", "n_jobs=8"]
+
+
+@pytest.mark.parametrize(
+    "main, argv, error",
+    [
+        (
+            experiments_main,
+            ["run", "E1", "--param", "n_jobs=10", "--param", "n_jobs=20"],
+            "--param key(s) repeated: n_jobs",
+        ),
+        (
+            sweep_main,
+            ["run", "E1", "--axis", "n_jobs=8", "--base", "n_brute=4",
+             "--base", "n_brute=5"],
+            "--base key(s) repeated: n_brute",
+        ),
+        (
+            sweep_main,
+            ["run", "E1", "--axis", "n_jobs=8,12", "--where", "n_jobs=8",
+             "--where", "n_jobs=12"],
+            "--where key(s) repeated: n_jobs",
+        ),
+        (
+            serve_main,
+            _SUBMIT + ["--base", "n_brute=4", "--base", "n_brute=5"],
+            "--base key(s) repeated: n_brute",
+        ),
+    ],
+)
+def test_repeated_key_is_refused_not_last_one_wins(main, argv, error, capsys):
+    # regression: dict() of the flag's pairs silently kept the last value
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith(f"error: {error}"), err
+
+
+def test_repeated_key_within_one_point_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        sweep_main(["run", "E1", "--point", "n_jobs=8,n_jobs=12"])
+    assert exc.value.code == 2
+    assert "repeats key 'n_jobs'" in capsys.readouterr().err

@@ -204,6 +204,51 @@ class TestSummarizeRows:
         assert agg.matrix.shape == (0, 0)
 
 
+class TestStudentTQuantile:
+    """``repro.utils.stats`` takes Student-t quantiles from
+    ``scipy.special.stdtrit`` so that importing it does not load
+    ``scipy.stats``; every interval must stay bit-for-bit what
+    ``scipy.stats.t.ppf`` gave."""
+
+    DFS = np.array([*range(1, 400), 1000, 100_000])
+    QUANTILES = [0.5 + level / 2 for level in (0.8, 0.9, 0.95, 0.99)] + [
+        0.999,
+        0.9995,
+        0.99999,
+        1e-4,
+    ]
+
+    @pytest.mark.parametrize("q", QUANTILES)
+    def test_stdtrit_is_t_ppf_bitwise(self, q):
+        from scipy import stats as sps
+        from scipy.special import stdtrit
+
+        # scalar df, as in mean_confidence_interval
+        for df in self.DFS.tolist():
+            assert float(stdtrit(df, q)).hex() == float(sps.t.ppf(q, df=df)).hex()
+        # integer-array df, as in summarize_rows
+        assert stdtrit(self.DFS, q).tobytes() == sps.t.ppf(q, df=self.DFS).tobytes()
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_intervals_use_the_t_ppf_quantile(self, level):
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(3)
+        rows = [{"x": float(v)} for v in rng.normal(size=40)]
+        for k, row in enumerate(rows):
+            row.update({f"c{j}": float(k) ** 0.5 for j in range(2, 9) if k < j})
+        agg = summarize_rows(rows, level=level)
+        for name in agg.names:
+            j = agg.index(name)
+            n = int(agg.counts[j])
+            t = sps.t.ppf(0.5 + level / 2, df=n - 1)
+            assert agg.half_width[j] == t * agg.std[j] / np.sqrt(n)
+            xs = [row[name] for row in rows if name in row]
+            ci = mean_confidence_interval(xs, level=level)
+            s = float(np.std(xs, ddof=1))
+            assert ci.half_width == float(t) * s / math.sqrt(n)
+
+
 class TestSerialization:
     def test_jsonable_normalises_numpy_and_tuples(self):
         value = {"a": np.int64(2), "b": (np.float64(1.5), 2), "c": np.arange(3)}
