@@ -88,6 +88,7 @@ def gittins_indices_restart(
     # `beta * P @ v` associates as `(beta * P) @ v`, so the scaled matrix
     # can be hoisted out of the iteration without changing a single bit
     bP = beta * P
+    amax = np.maximum.reduce
     for s in range(n):
         bPs = bP[s]
         Rs = R[s]
@@ -96,7 +97,9 @@ def gittins_indices_restart(
             cont = R + bP @ v
             rest = Rs + bPs @ v  # scalar: restart from s
             v_new = np.maximum(cont, rest)
-            if np.abs(v_new - v).max() < tol * max(1.0, np.abs(v_new).max()):
+            # np.maximum.reduce is ndarray.max without its Python wrapper,
+            # which costs as much as the arithmetic at these sizes
+            if amax(np.abs(v_new - v)) < tol * max(1.0, amax(np.abs(v_new))):
                 v = v_new
                 break
             v = v_new

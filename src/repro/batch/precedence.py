@@ -21,6 +21,27 @@ from repro.utils.rng import as_generator
 __all__ = ["InTree", "random_intree", "simulate_intree_makespan", "hlf_policy", "random_policy"]
 
 
+def _heights(parent: list[int]) -> list[int]:
+    """Edges from each job to its root; raises ``ValueError`` on a cycle."""
+    lev = [-1] * len(parent)  # -1: unknown, -2: on the current walk
+    for i in range(len(parent)):
+        # walk up to a root or a job whose height is known, then assign
+        # heights back down the walked path
+        path = []
+        j = i
+        while j != -1 and lev[j] < 0:
+            if lev[j] == -2:
+                raise ValueError("parent pointers contain a cycle")
+            lev[j] = -2
+            path.append(j)
+            j = parent[j]
+        d = -1 if j == -1 else lev[j]
+        for k in reversed(path):
+            d += 1
+            lev[k] = d
+    return lev
+
+
 @dataclass
 class InTree:
     """An in-tree on jobs ``0..n-1``.
@@ -39,15 +60,7 @@ class InTree:
         if np.any(p == np.arange(n)):
             raise ValueError("a job cannot be its own parent")
         self.parent = p
-        # verify acyclicity by walking to a root from each node
-        for i in range(n):
-            seen = set()
-            j = i
-            while j != -1:
-                if j in seen:
-                    raise ValueError("parent pointers contain a cycle")
-                seen.add(j)
-                j = int(p[j])
+        _heights(p.tolist())  # raises on a cycle
 
     @property
     def n_jobs(self) -> int:
@@ -57,23 +70,11 @@ class InTree:
     def levels(self) -> np.ndarray:
         """Height of each job: number of edges on the path to its root.
         HLF serves greater heights first."""
-        n = self.n_jobs
-        lev = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            j, d = i, 0
-            while self.parent[j] != -1:
-                j = int(self.parent[j])
-                d += 1
-            lev[i] = d
-        return lev
+        return np.array(_heights(self.parent.tolist()), dtype=np.int64)
 
     def children_counts(self) -> np.ndarray:
         """Number of direct predecessors of each job."""
-        counts = np.zeros(self.n_jobs, dtype=np.int64)
-        for p in self.parent:
-            if p != -1:
-                counts[p] += 1
-        return counts
+        return np.bincount(self.parent[self.parent >= 0], minlength=self.n_jobs)
 
     @classmethod
     def from_networkx(cls, graph) -> "InTree":
@@ -121,13 +122,17 @@ def random_intree(n: int, rng: np.random.Generator | int | None = None) -> InTre
 def hlf_policy(tree: InTree) -> Callable[[list[int]], list[int]]:
     """Highest Level First: among available jobs prefer the greatest height
     (ties to smallest id)."""
-    lev = tree.levels()
+    lev = tree.levels().tolist()
+    # each job's position in the (-height, id) order, sorted once per tree
+    # rather than once per decision epoch
+    rank = [0] * len(lev)
+    for pos, j in enumerate(sorted(range(len(lev)), key=lambda j: (-lev[j], j))):
+        rank[j] = pos
 
-    def choose(available: list[int], m: int) -> list[int]:
-        ranked = sorted(available, key=lambda j: (-lev[j], j))
-        return ranked[:m]
+    def choose(available: list[int], m: int = 1) -> list[int]:
+        return sorted(available, key=rank.__getitem__)[:m]
 
-    return lambda available, m=1: choose(available, m)
+    return choose
 
 
 def random_policy(rng: np.random.Generator) -> Callable[[list[int], int], list[int]]:
@@ -159,24 +164,21 @@ def simulate_intree_makespan(
     """
     if m < 1 or rate <= 0:
         raise ValueError("need m >= 1 and rate > 0")
-    pending = tree.children_counts().copy()
-    done = np.zeros(tree.n_jobs, dtype=bool)
-    available = [i for i in range(tree.n_jobs) if pending[i] == 0]
+    parent = tree.parent.tolist()
+    pending = tree.children_counts().tolist()
+    available = [i for i in range(len(parent)) if pending[i] == 0]
     t = 0.0
-    n_left = tree.n_jobs
-    while n_left:
+    for _ in range(len(parent)):
         running = choose(sorted(available), m)
         if not running or len(running) > m:
             raise ValueError("policy must run between 1 and m available jobs")
         k = len(running)
         t += rng.exponential(1.0 / (rate * k))
         winner = running[int(rng.integers(0, k))]
-        done[winner] = True
         available.remove(winner)
-        n_left -= 1
-        parent = int(tree.parent[winner])
-        if parent != -1:
-            pending[parent] -= 1
-            if pending[parent] == 0:
-                available.append(parent)
+        succ = parent[winner]
+        if succ != -1:
+            pending[succ] -= 1
+            if pending[succ] == 0:
+                available.append(succ)
     return t

@@ -125,7 +125,8 @@ def make_record(
     described in the module docstring.  ``version`` defaults to the
     installed :mod:`repro` version and ``timestamp`` to the current UTC
     time; ``meta`` is free-form run context (replication counts,
-    parameter trims) that the gate ignores.
+    parameter trims) that the gate ignores, except ``meta["method"]``:
+    the gate compares only records measured by the same method.
     """
     if version is None:
         from repro import __version__

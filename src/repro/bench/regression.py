@@ -16,7 +16,12 @@ the verdicts.  Semantics:
 * a ``floor`` on a ``"higher"`` metric is an absolute minimum enforced
   even without a baseline;
 * a benchmark or metric with no baseline counterpart is *skipped*, not
-  failed — new benchmarks land green and start gating on the next run.
+  failed — new benchmarks land green and start gating on the next run;
+* only a record measured the same way is a baseline: equal
+  ``meta["method"]`` (absent counts as one method).  A bench that changes
+  how it measures names the new method, and its first record starts a
+  new baseline instead of failing against numbers it cannot be compared
+  with.
 
 Exit-code contract of the CLI (``scripts/check_bench_regression.py``):
 0 when everything passes or is skipped, 2 on any regression, 1 on
@@ -123,8 +128,9 @@ def check_regression(
     newest matching record there; without, against the *previous*
     matching record of ``candidates`` itself (the committed-trajectory
     workflow: CI appends a fresh record and gates it against the line
-    that was committed).  ``benchmark_id``/``config`` filter which
-    candidates are gated.
+    that was committed).  A matching record has the same benchmark id,
+    config and ``meta["method"]``.  ``benchmark_id``/``config`` filter
+    which candidates are gated.
     """
     from repro.bench.record import latest_record
 
@@ -140,10 +146,13 @@ def check_regression(
             continue
         if config is not None and key[1] != config:
             continue
-        if baselines is not None:
-            base = latest_record(baselines, key[0], key[1])
-        else:
-            base = latest_record(candidates[:idx], key[0], key[1])
+        pool = candidates[:idx] if baselines is None else baselines
+        method = rec.get("meta", {}).get("method")
+        base = latest_record(
+            [r for r in pool if r.get("meta", {}).get("method") == method],
+            key[0],
+            key[1],
+        )
         checks = compare_metrics(
             rec, base, default_tolerance=default_tolerance
         )

@@ -298,10 +298,10 @@ def _cmd_packs() -> int:
         if pack.docs:
             print(f"  docs: {pack.docs}")
         ids = sorted(sc.scenario_id for sc in pack.scenarios.values())
-        kernels = sorted(pack.kernels)
+        kernels = [f"{sid} [{pack.kernels[sid].mode}]" for sid in sorted(pack.kernels)]
         print(f"  scenarios ({len(ids)}): {', '.join(ids)}")
         if kernels:
-            print(f"  vectorized kernels ({len(kernels)}): {', '.join(kernels)}")
+            print(f"  kernels ({len(kernels)}): {', '.join(kernels)}")
     return 0
 
 

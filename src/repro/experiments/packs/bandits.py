@@ -2,8 +2,9 @@
 
 Gittins-index optimality against the exact product-space DP, the
 switching-penalty counterexample with its hysteresis recovery, and the
-VWB-vs-restart algorithmic cross-check — with batched-MDP vectorized
-kernels.
+VWB-vs-restart algorithmic cross-check — with batched-MDP and
+batched-Gittins vectorized kernels for E9 and A1, and a ``direct``
+kernel for E7.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from repro.experiments.packs import ScenarioPack
 from repro.experiments.packs._shared import _float_rows
 from repro.sim.vectorized import (
-    batched_product_mdp,
     batched_switching_mdp,
     restart_gittins_batch,
 )
@@ -260,81 +260,13 @@ def _policy_values_batch(
 
 @PACK.kernel(
     "E7",
-    mode="batched",
-    note="product MDPs assembled once for the whole batch and priority "
-    "policies evaluated by stacked linear solves; the per-replication "
-    "index-algorithm cross-check keeps its own exact control flow",
+    mode="direct",
+    note="each replication's product-space policy iteration and index "
+    "computations depend on its own projects; nothing is shared to hoist",
 )
-def batch_e7(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``batched`` kernel for E7: runs all replications at once on arrays with a replication axis;
-    bit-for-bit equal to ``simulate_e7`` on the same seeds.
-    """
-    from repro.bandits import (
-        gittins_indices_restart,
-        gittins_indices_vwb,
-        random_project,
-    )
-    from repro.mdp.core import FiniteMDP
-    from repro.mdp.solvers import policy_iteration
-
-    beta = float(params["beta"])
-    n_proj, n_states = int(params["n_projects"]), int(params["n_states"])
-    algo_states = int(params["algo_states"])
-    N = len(seeds)
-    projects = []
-    algo_projects = []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        projects.append([random_project(n_states, rng) for _ in range(n_proj)])
-        algo_projects.append(random_project(algo_states, rng))
-
-    Ps = [np.stack([projects[r][a].P for r in range(N)]) for a in range(n_proj)]
-    Rs = [np.stack([projects[r][a].R for r in range(N)]) for a in range(n_proj)]
-    T, R, states = batched_product_mdp(Ps, Rs)
-    start = states.index(tuple(0 for _ in range(n_proj)))
-
-    opt = np.empty(N)
-    for r in range(N):
-        mdp = FiniteMDP(T[r], R[r], validate=False)
-        opt[r] = policy_iteration(mdp, beta).value[start]
-
-    # Gittins priority policy: per-replication VWB indices, batched table
-    gammas = np.stack(
-        [
-            np.stack([gittins_indices_vwb(projects[r][a], beta) for a in range(n_proj)])
-            for r in range(N)
-        ]
-    )  # (N, n_proj, n_states)
-    tie_rank = -np.arange(n_proj)  # key (index, -a): ties to the lowest id
-    git_policy = np.empty((N, len(states)), dtype=np.int64)
-    myop_policy = np.empty((N, len(states)), dtype=np.int64)
-    for i, s in enumerate(states):
-        git_vals = np.stack(
-            [gammas[:, a, s[a]].astype(float) for a in range(n_proj)], axis=1
-        )
-        myop_vals = np.stack([Rs[a][:, s[a]] for a in range(n_proj)], axis=1)
-        git_policy[:, i] = _sequential_argmax(git_vals, tie_rank)[0]
-        myop_policy[:, i] = _sequential_argmax(myop_vals, tie_rank)[0]
-    git = _policy_values_batch(T, R, git_policy, beta)[:, start]
-    myop = _policy_values_batch(T, R, myop_policy, beta)[:, start]
-
-    algo_diff = np.empty(N)
-    for r in range(N):
-        proj = algo_projects[r]
-        algo_diff[r] = np.max(
-            np.abs(
-                gittins_indices_vwb(proj, beta) - gittins_indices_restart(proj, beta)
-            )
-        )
-    return _float_rows(
-        {
-            "opt": opt,
-            "gittins_gap": np.abs(git / opt - 1.0),
-            "myopic_loss": 1.0 - myop / opt,
-            "algo_diff": algo_diff,
-        },
-        N,
-    )
+def direct_e7(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+    """``direct`` kernel for E7: runs ``simulate_e7`` per replication."""
+    return [simulate_e7(ss, params) for ss in seeds]
 
 
 @PACK.kernel(

@@ -5,7 +5,8 @@ identical parallel machines with their counterexample and turnpike
 claims, HLF under in-tree precedence, Talwar's rule for the two-machine
 exponential flow shop, and threshold structure on uniform machines — the
 batch-scheduling half of the survey, with the vectorized kernels that
-batch the brute-force/DP/recurrence computations across replications.
+batch the brute-force/DP/recurrence computations across replications
+(E2 and E16 have ``direct`` kernels that run their event path).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.experiments.packs._shared import _float_rows
 from repro.sim.vectorized import (
     exponential_family_st_ordered,
     flowshop_makespan_batch,
-    lockstep_intree_makespans,
     min_flowtime_over_permutations,
     sequence_flowtime_batch,
     subset_dp_batch,
@@ -688,74 +688,13 @@ def batch_e1(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "E2",
-    mode="cached",
-    note="the memoryless-job half of the study is fully deterministic and "
-    "computed once for the whole batch; the random-SCV DHR half keeps its "
-    "exact per-replication DPs",
+    mode="direct",
+    note="each replication's three preemptive DHR DPs dominate the run; the "
+    "memoryless half is too small a share to hoist",
 )
-def batch_e2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``cached`` kernel for E2: hoists the replication-invariant work and evaluates it once for the batch;
-    bit-for-bit equal to ``simulate_e2`` on the same seeds.
-    """
-    from repro.batch.sevcik import (
-        DiscreteJob,
-        GittinsJobIndex,
-        discretize_distribution,
-        evaluate_index_policy_dp,
-        nonpreemptive_wsept_cost,
-        preemptive_single_machine_mdp,
-    )
-    from repro.distributions import Exponential, HyperExponential
-
-    quantum = float(params["quantum"])
-    n_quanta = int(params["n_quanta"])
-    lo, hi = params["scv_range"]
-
-    mem = [
-        DiscreteJob(
-            id=j,
-            pmf=discretize_distribution(Exponential.from_mean(mean), 0.5, n_quanta),
-            weight=1.0,
-        )
-        for j, mean in enumerate((1.0, 2.0, 3.0))
-    ]
-    opt_mem, _ = preemptive_single_machine_mdp(mem)
-    gittins_mem = evaluate_index_policy_dp(mem, GittinsJobIndex(mem))
-    wsept_mem = nonpreemptive_wsept_cost(mem)
-    mem_metrics = {
-        "opt_mem": float(opt_mem),
-        "gittins_mem_gap": float(abs(gittins_mem / opt_mem - 1.0)),
-        "wsept_mem_premium": float(wsept_mem / opt_mem - 1.0),
-    }
-
-    rows = []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        scvs = rng.uniform(lo, hi, size=3)
-        dhr = [
-            DiscreteJob(
-                id=j,
-                pmf=discretize_distribution(
-                    HyperExponential.balanced_from_mean_scv(2.0, float(scv)),
-                    quantum,
-                    n_quanta,
-                ),
-                weight=1.0 + 0.3 * j,
-            )
-            for j, scv in enumerate(scvs)
-        ]
-        opt_dhr, _ = preemptive_single_machine_mdp(dhr)
-        gittins_dhr = evaluate_index_policy_dp(dhr, GittinsJobIndex(dhr))
-        wsept_dhr = nonpreemptive_wsept_cost(dhr)
-        rows.append(
-            {
-                "opt_dhr": float(opt_dhr),
-                "gittins_dhr_gap": float(abs(gittins_dhr / opt_dhr - 1.0)),
-                "wsept_dhr_premium": float(wsept_dhr / opt_dhr - 1.0),
-                **mem_metrics,
-            }
-        )
-    return rows
+def direct_e2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+    """``direct`` kernel for E2: runs ``simulate_e2`` per replication."""
+    return [simulate_e2(ss, params) for ss in seeds]
 
 
 def _uniform_rates(seeds: Seeds, params: Params) -> np.ndarray:
@@ -908,61 +847,13 @@ def batch_e18(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "E16",
-    mode="batched",
-    note="every batch of trees is simulated in lockstep (one completion "
-    "epoch per step across all replications); per-replication draws stay "
-    "on their own generators in the event path's order",
+    mode="direct",
+    note="each replication's in-tree list-scheduling runs are sequential "
+    "policy decisions per completion epoch; nothing is shared to hoist",
 )
-def batch_e16(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``batched`` kernel for E16: runs all replications at once on arrays with a replication axis;
-    bit-for-bit equal to ``simulate_e16`` on the same seeds.
-    """
-    from repro.batch import random_intree
-    from repro.utils.rng import crn_generators
-
-    m = int(params["m"])
-    sizes = [int(n) for n in params["sizes"]]
-    N = len(seeds)
-    main_rngs = [np.random.default_rng(ss) for ss in seeds]
-    children = [ss.spawn(len(sizes)) for ss in seeds]
-
-    columns: dict[str, np.ndarray] = {}
-    for si, n in enumerate(sizes):
-        parents = np.empty((N, n), dtype=np.int64)
-        levels = []
-        lb = np.empty(N)
-        for r in range(N):
-            seed_int = int(main_rngs[r].integers(0, 2**31 - 1))
-            tree = random_intree(n, seed_int)
-            parents[r] = tree.parent
-            lev = tree.levels()
-            levels.append(lev)
-            lb[r] = max(n / m, float(lev.max() + 1))
-        hlf_rngs, rnd_rngs, policy_rngs = [], [], []
-        for r in range(N):
-            h, w = crn_generators(children[r][si], 2)
-            hlf_rngs.append(h)
-            rnd_rngs.append(w)
-            policy_rngs.append(np.random.default_rng(children[r][si].spawn(1)[0]))
-
-        def hlf_select(r: int, ids: np.ndarray, m_: int) -> np.ndarray:
-            lev = levels[r][ids]
-            # stable argsort of -level == sorted(ids, key=(-level, id))
-            return ids[np.argsort(-lev, kind="stable")[:m_]]
-
-        def random_select(r: int, ids: np.ndarray, m_: int) -> np.ndarray:
-            k = min(m_, len(ids))
-            idx = policy_rngs[r].choice(len(ids), size=k, replace=False)
-            return ids[idx]
-
-        hlf = lockstep_intree_makespans(parents, m, 1.0, hlf_select, hlf_rngs)
-        rnd = lockstep_intree_makespans(parents, m, 1.0, random_select, rnd_rngs)
-        columns[f"hlf_ratio_n{n}"] = hlf / lb
-        columns[f"random_ratio_n{n}"] = rnd / lb
-    columns["hlf_ratio_small"] = columns[f"hlf_ratio_n{sizes[0]}"]
-    columns["hlf_ratio_large"] = columns[f"hlf_ratio_n{sizes[-1]}"]
-    columns["random_ratio_large"] = columns[f"random_ratio_n{sizes[-1]}"]
-    return _float_rows(columns, N)
+def direct_e16(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+    """``direct`` kernel for E16: runs ``simulate_e16`` per replication."""
+    return [simulate_e16(ss, params) for ss in seeds]
 
 
 @PACK.kernel(

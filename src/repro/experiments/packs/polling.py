@@ -115,6 +115,6 @@ def simulate_e15(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     "simulations dominate the run; the pseudo-conservation right-hand "
     "sides are too small a share to hoist",
 )
-def batch_e15(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+def direct_e15(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``direct`` kernel for E15: runs ``simulate_e15`` per replication."""
     return [simulate_e15(ss, params) for ss in seeds]

@@ -567,7 +567,7 @@ def simulate_a3(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     note="each replication's CRN network simulations dominate the run; the "
     "cµ/Cobham/polytope analysis is too small a share to hoist",
 )
-def batch_e10(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+def direct_e10(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``direct`` kernel for E10: runs ``simulate_e10`` per replication."""
     return [simulate_e10(ss, params) for ss in seeds]
 
@@ -578,7 +578,7 @@ def batch_e10(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     note="each replication's six CRN network simulations dominate the run; "
     "the Klimov index analysis is too small a share to hoist",
 )
-def batch_e11(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+def direct_e11(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``direct`` kernel for E11: runs ``simulate_e11`` per replication."""
     return [simulate_e11(ss, params) for ss in seeds]
 
@@ -589,7 +589,7 @@ def batch_e11(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     note="each replication's rho sweep of M/M/m simulations dominates the "
     "run; the pooled lower bounds are too small a share to hoist",
 )
-def batch_e12(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+def direct_e12(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``direct`` kernel for E12: runs ``simulate_e12`` per replication."""
     return [simulate_e12(ss, params) for ss in seeds]
 
@@ -697,7 +697,7 @@ def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     note="the M/M/1 sample path dominates the run; the closed forms are too "
     "small a share to hoist",
 )
-def batch_a2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
+def direct_a2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``direct`` kernel for A2: runs ``simulate_a2`` per replication."""
     return [simulate_a2(ss, params) for ss in seeds]
 

@@ -217,7 +217,7 @@ class ModuleContext:
     @property
     def module_name(self) -> str:
         """The dotted module guess from the file path: the segments from
-        the last ``repro`` path component down (``repro.sim.engine``).
+        the last ``repro`` path component down (``repro.sim.replication``).
         Files outside a ``repro`` package get a clean fallback dotted
         name from the trailing run of identifier-shaped path components
         (``scripts/foo.py`` -> ``scripts.foo``), never the bare stem of

@@ -19,8 +19,8 @@ imports only: a function-local import is the sanctioned idiom for
 breaking an import-time cycle, so it must not re-trigger the diagnostic
 it exists to avoid.
 
-Edges are resolved textually (``from repro.sim.engine import Simulator``
-→ ``repro.sim.engine``), never by executing imports; module names come
+Edges are resolved textually (``from repro.sim.replication import run_replications``
+→ ``repro.sim.replication``), never by executing imports; module names come
 from :attr:`repro.lint.engine.ModuleContext.module_name`, so fixture
 trees under ``tmp/repro/...`` participate exactly like the real package.
 """

@@ -14,8 +14,8 @@ simulation path reads ambient state.  These rules pin that convention:
   ``datetime.now``, ``os.urandom``, ``uuid``) inside ``repro.sim``,
   ``repro.experiments``, or scenario-pack modules;
 * ``REP004`` — no iteration over bare set literals/constructors inside
-  ``simulate_*``/``batch_*`` functions (set order follows the process
-  hash seed, not the code).
+  ``simulate_*``/``batch_*``/``direct_*`` functions (set order follows
+  the process hash seed, not the code).
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _is_bare_set(node: ast.AST) -> bool:
 
 @register_rule(
     "REP004",
-    "no iteration over bare set literals in simulate_*/batch_* functions",
+    "no iteration over bare set literals in simulate_*/batch_*/direct_* functions",
 )
 def check_set_iteration(ctx: ModuleContext) -> Iterator[Diagnostic]:
     """Flag ``for ... in {...}`` (and comprehension equivalents) inside
@@ -169,7 +169,7 @@ def check_set_iteration(ctx: ModuleContext) -> Iterator[Diagnostic]:
     for fn in ast.walk(ctx.tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if not fn.name.startswith(("simulate_", "batch_")):
+        if not fn.name.startswith(("simulate_", "batch_", "direct_")):
             continue
         for node in ast.walk(fn):
             iters: list[ast.AST] = []

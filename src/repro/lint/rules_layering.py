@@ -12,10 +12,11 @@ These rules see the whole run at once through
   idiom for breaking an import-time cycle).  The diagnostic names the
   full cycle path and anchors at the first import statement of its
   lexicographically-first member.
-* ``REP022`` — a module-level ``simulate_*``/``batch_*`` function in a
-  pack module that is neither decorated with ``@PACK.scenario``/
-  ``@PACK.kernel`` nor passed to such a registration call anywhere in
-  the scanned set: a kernel the experiment registry can never run.
+* ``REP022`` — a module-level ``simulate_*``/``batch_*``/``direct_*``
+  function in a pack module that is neither decorated with
+  ``@PACK.scenario``/``@PACK.kernel`` nor passed to such a registration
+  call anywhere in the scanned set: a kernel the experiment registry can
+  never run.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _registered_names(project: ProjectContext) -> set[str]:
 
 @register_project_rule(
     "REP022",
-    "simulate_/batch_ function in a pack module never registered with any pack",
+    "simulate_/batch_/direct_ function in a pack module never registered with any pack",
 )
 def check_unregistered_kernels(project: ProjectContext) -> Iterator[Diagnostic]:
     registered: set[str] | None = None  # computed lazily, only if a candidate exists
@@ -130,7 +131,7 @@ def check_unregistered_kernels(project: ProjectContext) -> Iterator[Diagnostic]:
         for stmt in ctx.tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not stmt.name.startswith(("simulate_", "batch_")):
+            if not stmt.name.startswith(("simulate_", "batch_", "direct_")):
                 continue
             if _registration_decorated(stmt):
                 continue

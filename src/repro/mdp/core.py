@@ -60,13 +60,16 @@ class FiniteMDP:
             for a in acts:
                 if not 0 <= a < A:
                     raise ValueError(f"action {a} out of range in state {s}")
-                if not validate:
-                    continue
-                row = T[a, s]
-                if np.any(row < -1e-9) or not np.isclose(row.sum(), 1.0, atol=1e-6):
-                    raise ValueError(
-                        f"transitions[{a}, {s}] is not a probability vector"
-                    )
+        if validate:
+            # every allowed (action, state) row at once; name the first bad one
+            pairs = [(a, s) for s, acts in enumerate(self.action_sets) for a in acts]
+            rows = T[tuple(np.array(pairs).T)]
+            bad = np.any(rows < -1e-9, axis=1) | ~np.isclose(
+                rows.sum(axis=1), 1.0, atol=1e-6
+            )
+            if bad.any():
+                a, s = pairs[int(np.argmax(bad))]
+                raise ValueError(f"transitions[{a}, {s}] is not a probability vector")
         self.transitions = T
         self.rewards = R
         self.n_actions = A

@@ -1,14 +1,13 @@
-"""Discrete-event simulation engine.
+"""Simulation substrate: replication runners and the kernel registry.
 
 The survey observes that "computer simulation remains the most widely used
 tool in applications of these models". No simulation package is assumed; this
-subpackage implements the substrate from scratch: an event calendar with a
-stable tie-breaking order, a simulation clock, time-weighted monitors, and a
-replication runner producing confidence intervals.
+subpackage implements the substrate from scratch: serial, parallel and paired
+replication runners producing confidence intervals, the adaptive
+sequential-stopping controller, and the vectorized-kernel registry with its
+batched primitives.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.monitor import TimeWeightedMonitor, TallyMonitor
 from repro.sim.replication import (
     PairedReplicationResult,
     ReplicationResult,
@@ -31,11 +30,6 @@ from repro.sim.vectorized import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "TimeWeightedMonitor",
-    "TallyMonitor",
     "ReplicationResult",
     "PairedReplicationResult",
     "run_replications",

@@ -24,20 +24,21 @@ Two ingredients live here:
 * **generic batched primitives** — scenario-agnostic numerics shared by
   the kernels: batched sequence flowtimes and brute-force permutation
   minima, the batched subset DP for exponential parallel machines,
-  lockstep (all replications advance one event or epoch per step)
-  simulators for in-tree list scheduling and restless-fleet rollouts
-  (:func:`lockstep_heterogeneous_rollouts` advances every replication's
+  lockstep restless-fleet rollouts for E8 and E19 (all replications
+  advance one epoch per step;
+  :func:`lockstep_heterogeneous_rollouts` advances every replication's
   heterogeneous fleet on shared ``(reps, projects, states)`` arrays),
-  batched product-/switching-MDP assembly, batched flow-shop
-  recurrences, and a batched restart-in-state Gittins solver.
+  batched switching-MDP assembly, batched flow-shop recurrences, and a
+  batched restart-in-state Gittins solver.
 
-The queueing scenarios (E10–E15, A2) have no primitive here: their
+The ``direct`` kernels (E2, E7, E10–E12, E15, E16, A2) have no primitive
+here: they call the scenario's own ``simulate`` per replication, because
+a second, batched implementation measured under 2x faster than the event
+path does not pay for keeping it bit-identical.  The queueing
 simulators, :func:`repro.queueing.network.simulate_network` and
 :meth:`repro.queueing.polling.PollingSystem.simulate`, are already the
-fast engines.  The E13/E14 kernels hoist the deterministic fluid
-analysis and call them per replication (``cached`` mode); the other
-queueing kernels call the scenario's own ``simulate`` per replication
-(``direct`` mode).
+fast engines; the E13/E14 kernels hoist the deterministic fluid
+analysis and call them per replication (``cached`` mode).
 
 Bitwise-equality rules the primitives rely on (verified by the
 equivalence tests, so a platform where one failed would fail loudly):
@@ -92,10 +93,8 @@ __all__ = [
     "sequence_flowtime_batch",
     "min_flowtime_over_permutations",
     "subset_dp_batch",
-    "lockstep_intree_makespans",
     "lockstep_restless_rollouts",
     "lockstep_heterogeneous_rollouts",
-    "batched_product_mdp",
     "batched_switching_mdp",
     "exponential_family_st_ordered",
     "flowshop_makespan_batch",
@@ -412,64 +411,6 @@ def subset_dp_batch(
 
 
 # ---------------------------------------------------------------------------
-# Lockstep in-tree list scheduling (E16 family)
-# ---------------------------------------------------------------------------
-
-
-def lockstep_intree_makespans(
-    parents: np.ndarray,
-    m: int,
-    rate: float,
-    select: Callable[[int, np.ndarray, int], Sequence[int]],
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Simulate i.i.d. exponential(rate) in-tree batches for all
-    replications in lockstep.
-
-    ``parents`` has shape ``(N, n)`` (one in-tree per replication, -1 for
-    roots); ``select(r, available_ids, m)`` returns the ids to run for
-    replication ``r`` — ``available_ids`` is ascending, exactly the
-    ``sorted(available)`` list :func:`simulate_intree_makespan` passes its
-    policy.  Per replication the generator in ``rngs`` is consumed in the
-    identical order as the event-driven loop: one ``exponential`` and one
-    ``integers`` draw per completion epoch (any draws the policy itself
-    makes happen inside ``select``, before them).
-
-    Every epoch completes exactly one job per replication, so all
-    replications finish after exactly ``n`` epochs — which is what makes
-    the lockstep formulation exact rather than approximate.
-    """
-    parents = np.asarray(parents, dtype=np.int64)
-    N, n = parents.shape
-    if m < 1 or rate <= 0:
-        raise ValueError("need m >= 1 and rate > 0")
-    pending = np.zeros((N, n), dtype=np.int64)
-    for r in range(N):
-        counts = np.bincount(parents[r][parents[r] >= 0], minlength=n)
-        pending[r] = counts
-    avail = pending == 0
-    t = np.zeros(N)
-    for _ in range(n):
-        winners = np.empty(N, dtype=np.int64)
-        for r in range(N):
-            ids = np.flatnonzero(avail[r])
-            running = list(select(r, ids, m))
-            if not running or len(running) > m:
-                raise ValueError("policy must run between 1 and m available jobs")
-            k = len(running)
-            t[r] += rngs[r].exponential(1.0 / (rate * k))
-            winners[r] = running[int(rngs[r].integers(0, k))]
-        rows = np.arange(N)
-        avail[rows, winners] = False
-        par = parents[rows, winners]
-        has_parent = par >= 0
-        rr, pp = rows[has_parent], par[has_parent]
-        pending[rr, pp] -= 1
-        avail[rr, pp] = pending[rr, pp] == 0
-    return t
-
-
-# ---------------------------------------------------------------------------
 # Lockstep restless-fleet rollouts (E8 family)
 # ---------------------------------------------------------------------------
 
@@ -537,41 +478,8 @@ def lockstep_restless_rollouts(
 
 
 # ---------------------------------------------------------------------------
-# Batched joint-MDP assembly (E7/E9 families)
+# Batched switching-MDP assembly (E9 family)
 # ---------------------------------------------------------------------------
-
-
-def batched_product_mdp(
-    Ps: Sequence[np.ndarray], Rs: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Batched product MDP of classical bandit projects.
-
-    ``Ps[a]`` has shape ``(N, S_a, S_a)`` (replication-stacked transition
-    matrices of project ``a``) and ``Rs[a]`` shape ``(N, S_a)``.  Returns
-    ``(T, R, states)`` with ``T`` of shape ``(N, A, S, S)`` and ``R`` of
-    shape ``(N, A, S)``; slice ``r`` is entry-for-entry what
-    :func:`repro.bandits.exact.bandit_product_mdp` builds for replication
-    ``r`` (entries are single assignments of the same products, so the
-    bits match).
-    """
-    A = len(Ps)
-    sizes = [P.shape[-1] for P in Ps]
-    N = Ps[0].shape[0]
-    states = list(itertools.product(*[range(sz) for sz in sizes]))
-    index_of = {s: i for i, s in enumerate(states)}
-    S = len(states)
-    T = np.zeros((N, A, S, S))
-    R = np.zeros((N, A, S))
-    for i, s in enumerate(states):
-        for a in range(A):
-            R[:, a, i] = Rs[a][:, s[a]]
-            nxt = list(s)
-            cols = np.empty(sizes[a], dtype=np.intp)
-            for nxt_local in range(sizes[a]):
-                nxt[a] = nxt_local
-                cols[nxt_local] = index_of[tuple(nxt)]
-            T[:, a, i, cols] = Ps[a][:, s[a], :]
-    return T, R, states
 
 
 def batched_switching_mdp(

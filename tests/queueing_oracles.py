@@ -25,8 +25,8 @@ import numpy as np
 from repro.queueing.fluid import FluidModel
 from repro.queueing.network import NetworkResult, QueueingNetwork
 from repro.queueing.polling import PollingResult, PollingSystem
-from repro.sim.engine import Simulator
-from repro.sim.monitor import TallyMonitor, TimeWeightedMonitor
+from sim_engine import Simulator
+from sim_monitor import TallyMonitor, TimeWeightedMonitor
 
 __all__ = ["oracle_simulate_network", "oracle_polling_simulate", "oracle_fluid_trajectory"]
 

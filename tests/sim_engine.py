@@ -1,10 +1,10 @@
-"""Event-calendar simulation core.
+"""Test-only event-calendar simulation core.
 
-A deliberately small, fast kernel: events are ``(time, priority, seq)``
+A deliberately small kernel: events are ``(time, priority, seq)``
 triples on a binary heap, with a monotone sequence number guaranteeing a
 deterministic total order (FIFO among simultaneous events of equal
-priority). All higher-level simulators in :mod:`repro.batch` and
-:mod:`repro.queueing` are built on this.
+priority).  The heap-calendar queueing oracles in ``queueing_oracles.py``
+run on it; the library's own simulators use flat loops instead.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Simulation output monitors."""
+"""Test-only simulation output monitors, used by ``queueing_oracles.py``."""
 
 from __future__ import annotations
 

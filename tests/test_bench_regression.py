@@ -130,6 +130,27 @@ def test_configs_gate_independently():
     assert statuses == {("bench", "smoke"): "pass", ("bench", "full"): "fail"}
 
 
+def test_only_records_measured_the_same_way_are_compared():
+    def rec(speedup, method):
+        r = _rec(speedup=speedup)
+        if method is not None:
+            r["meta"] = {"method": method}
+        return r
+
+    # a new method starts a new baseline instead of failing against the old
+    traj = [rec(9.0, None), rec(3.0, "median of 5 pairs")]
+    assert [e.status for e in check_regression(traj)] == ["skip"]
+    # ... and gates from its second record on
+    traj.append(rec(1.0, "median of 5 pairs"))
+    assert [e.status for e in check_regression(traj)] == ["fail"]
+    # records without a method still compare with each other
+    assert [e.status for e in check_regression([rec(9.0, None), rec(1.0, None)])] == ["fail"]
+    baseline = [rec(3.0, "median of 5 pairs"), rec(9.0, None)]
+    assert [
+        e.status for e in check_regression([rec(2.9, "median of 5 pairs")], baseline)
+    ] == ["pass"]
+
+
 def test_separate_baseline_trajectory():
     baseline = [_rec(speedup=3.0)]
     assert [e.status for e in check_regression([_rec(speedup=2.9)], baseline)] == [

@@ -296,10 +296,14 @@ class TestREP004SetIteration:
             def batch_x(seeds, params):
                 """Doc."""
                 return [{"m": sum(x for x in {1, 2})}]
+
+            def direct_x(seeds, params):
+                """Doc."""
+                return [{"m": v} for v in {1, 2}]
             ''',
         )
         diags = _lint(path, select=["REP004"])
-        assert [d.line for d in diags] == [7, 9, 14]
+        assert [d.line for d in diags] == [7, 9, 14, 18]
 
     def test_other_functions_and_safe_forms_not_flagged(self, tmp_path):
         path = _write(

@@ -218,10 +218,16 @@ class TestREP022UnregisteredKernels:
             def simulate_orphan(ss, params):
                 """Doc."""
                 return {}
+
+            def direct_orphan(seeds, params):
+                """Doc."""
+                return []
             '''),
         )
-        (diag,) = _lint(path, select=["REP022"])
-        assert "simulate_orphan" in diag.message and diag.rule_id == "REP022"
+        diags = _lint(path, select=["REP022"])
+        assert [d.rule_id for d in diags] == ["REP022", "REP022"]
+        assert "simulate_orphan" in diags[0].message
+        assert "direct_orphan" in diags[1].message
 
     def test_decorated_and_directly_registered_clean(self, tmp_path):
         path = _write(

@@ -43,8 +43,18 @@ class TestConstruction:
         T = np.zeros((1, 2, 2))
         T[0, 0, 0] = 0.7  # row does not sum to 1
         T[0, 1, 1] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"transitions\[0, 0\]"):
             FiniteMDP(T, np.zeros((1, 2)))
+        # only allowed (action, state) rows are checked; the first bad one is named
+        T2 = np.zeros((2, 2, 2))
+        T2[0, 0, 0] = T2[1, 1, 1] = 1.0
+        T2[1, 0, 0] = -0.5
+        T2[1, 0, 1] = 1.5
+        FiniteMDP(T2, np.zeros((2, 2)), action_sets=[[0], [1]])
+        with pytest.raises(ValueError, match=r"transitions\[1, 0\]"):
+            FiniteMDP(T2, np.zeros((2, 2)), action_sets=[[0, 1], [1]])
+        with pytest.raises(ValueError, match=r"transitions\[0, 1\]"):
+            FiniteMDP(T2, np.zeros((2, 2)), action_sets=[[0], [0, 1]])
 
     def test_empty_action_set_rejected(self):
         T = np.zeros((1, 1, 1))

@@ -22,6 +22,7 @@ from repro.experiments import (
     discovered_packs,
     generate_markdown,
     get_scenario,
+    kernel_ids,
     pack_info,
     run_scenario,
     scenario_ids,
@@ -29,6 +30,7 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.store import SampleStore
 from repro.experiments.sweep_cli import main as sweep_main
+from repro.sim.vectorized import get_kernel
 from repro.utils.schema import schema_errors, validate_schema
 
 REPO = Path(__file__).parent.parent
@@ -69,6 +71,13 @@ def test_pack_info_resolves_for_every_scenario():
             "polling",
         }
         assert version == "1.0.0"
+
+
+def test_cli_packs_labels_every_kernel_with_its_mode(capsys):
+    assert cli_main(["packs"]) == 0
+    out = capsys.readouterr().out
+    for sid in kernel_ids():
+        assert f"{sid} [{get_kernel(sid).mode}]" in out
 
 
 def test_every_builtin_scenario_declares_a_schema():

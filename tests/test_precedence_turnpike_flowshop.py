@@ -37,6 +37,21 @@ class TestInTree:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             InTree(parent=np.array([1, 0]))
+        # a cycle hanging off a valid root, reached only from job 3
+        with pytest.raises(ValueError, match="cycle"):
+            InTree(parent=np.array([-1, 0, 4, 2, 3]))
+
+    def test_levels_with_parents_after_children(self):
+        # 0 -> 1 -> 2 (root), 3 -> 1: parent ids above their children
+        tree = InTree(parent=np.array([1, 2, -1, 1]))
+        assert list(tree.levels()) == [2, 1, 0, 2]
+        assert list(tree.children_counts()) == [0, 2, 1, 0]
+
+    def test_hlf_serves_greatest_height_ties_to_lowest_id(self):
+        tree = InTree(parent=np.array([-1, 0, 0, 1, 2, 3]))
+        # heights: 0, 1, 1, 2, 2, 3
+        assert hlf_policy(tree)([1, 2, 3, 4], 3) == [3, 4, 1]
+        assert hlf_policy(tree)([0, 2, 5]) == [5]
 
     def test_self_parent_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,14 @@
-"""Tests for the discrete-event simulation engine and monitors."""
+"""Tests for the test-only event engine and monitors (``sim_engine.py``,
+``sim_monitor.py``) the queueing oracles run on."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.sim import (
-    EventQueue,
-    Simulator,
-    TallyMonitor,
-    TimeWeightedMonitor,
-    run_replications,
-)
+from repro.sim import run_replications
+from sim_engine import EventQueue, Simulator
+from sim_monitor import TallyMonitor, TimeWeightedMonitor
 
 
 class TestEventQueue:
