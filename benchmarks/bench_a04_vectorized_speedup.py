@@ -32,8 +32,8 @@ import time
 import numpy as np
 
 from repro.experiments import get_scenario, kernel_ids
+from repro.experiments.registry import get_kernel
 from repro.experiments.runner import simulate_scenario_batch
-from repro.sim.vectorized import get_kernel
 from repro.utils.rng import spawn_seed_sequences
 
 # batch sizes / parameter trims so every measurement stays around a second

@@ -5,9 +5,11 @@ This package turns the E1–E19 benchmark workloads into first-class,
 discoverable objects:
 
 * :mod:`repro.experiments.registry` — the declarative
-  :class:`~repro.experiments.registry.Scenario` registry: each scenario
-  bundles a per-replication ``simulate`` function with the paper claim it
-  validates, default parameters, and named *shape checks*.
+  :class:`~repro.experiments.registry.Scenario` registry, the one
+  id-keyed table: each scenario bundles a per-replication ``simulate``
+  function with the paper claim it validates, default parameters, and
+  named *shape checks*; its record also holds the scenario's optional
+  vectorized kernel, its pack provenance and its owner.
 * :mod:`repro.experiments.packs` — scenario *packs*: named, versioned
   manifests bundling scenarios (with per-parameter JSON schemas) and
   their vectorized kernels.  The built-in catalogue (E1–E19, A1–A3)
@@ -18,9 +20,9 @@ discoverable objects:
 * :mod:`repro.experiments.runner` — batched replications with multiprocess
   fan-out over spawned seed streams and vectorised aggregation; results
   are bit-identical for every worker count.  It also picks the simulation
-  backend (``backend="event" | "vectorized" | "auto"``): the vectorized
-  kernels of :mod:`repro.sim.vectorized` run all replications of a
-  scenario at once, bit-for-bit equivalent to the event-driven path.
+  backend (``backend="event" | "vectorized" | "auto"``): a scenario's
+  vectorized kernel runs all its replications at once, bit-for-bit
+  equivalent to the event-driven path.
 * :mod:`repro.experiments.store` — the content-addressed, resumable
   sample store: per-replication sample matrices keyed by
   ``(scenario, canonical params, root seed)``, so re-runs (more
@@ -30,8 +32,8 @@ discoverable objects:
 * :mod:`repro.experiments.sweeps` — declarative parameter sweeps: a
   :class:`~repro.experiments.sweeps.SweepSpec` (grid/zip/list of
   parameter axes over one registered scenario, validated against its
-  param schema) expands into concrete points that run through
-  :func:`run_scenarios` — per-point sample-store cache entries, adaptive
+  param schema) expands into concrete points that each run through
+  :func:`run_scenario` — per-point sample-store cache entries, adaptive
   precision, and backend choice all apply — and aggregate into a
   long-form table plus per-axis marginal summaries.  It also owns the
   runner options every entry point shares: their defaults
@@ -71,10 +73,11 @@ from repro.experiments.registry import (
     ParamValidationError,
     Scenario,
     get_scenario,
+    has_kernel,
+    kernel_ids,
     list_scenarios,
     pack_info,
     register,
-    scenario,
     scenario_ids,
 )
 from repro.experiments.runner import (
@@ -84,7 +87,6 @@ from repro.experiments.runner import (
     ScenarioResult,
     resolve_backend,
     run_scenario,
-    run_scenarios,
 )
 from repro.experiments.report import (
     canonical_sweep_document,
@@ -106,11 +108,9 @@ from repro.experiments.sweeps import (
     sweep_run_config,
 )
 from repro.sim.sequential import PrecisionTarget
-from repro.sim.vectorized import has_kernel, kernel_ids
 
 __all__ = [
     "Scenario",
-    "scenario",
     "register",
     "get_scenario",
     "list_scenarios",
@@ -131,7 +131,6 @@ __all__ = [
     "MetricSummary",
     "ScenarioResult",
     "run_scenario",
-    "run_scenarios",
     "canonical_sweep_document",
     "generate_markdown",
     "generate_sweep_markdown",

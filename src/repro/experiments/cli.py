@@ -54,8 +54,9 @@ from repro.experiments.report import generate_markdown, results_to_json
 from repro.experiments.runner import (
     BACKENDS,
     MissingKernelError,
+    ScenarioResult,
     resolve_backend,
-    run_scenarios,
+    run_scenario,
 )
 from repro.experiments.sweeps import RUN_DEFAULTS, check_run_options
 from repro.sim.sequential import DEFAULT_MAX_REPS, DEFAULT_MIN_REPS
@@ -320,8 +321,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     params = unique_keys(args.param, "--param key")
     run = run_options(args)
     cache_dir = None if args.no_cache else args.cache_dir
-    # every override must be meaningful for at least one selected scenario
-    known = {k for sid in ids for k in get_scenario(sid).defaults}
+    # every override must be meaningful for at least one selected
+    # scenario, and reaches only the scenarios declaring it
+    declared = {sid: get_scenario(sid).defaults for sid in ids}
+    known = set().union(*declared.values())
     unknown = sorted(set(params) - known)
     if unknown:
         raise CliError(
@@ -339,30 +342,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = []
     for sid in ids:
         try:
-            res = run_scenarios(
-                [sid], **run, params=params, cache_dir=cache_dir
-            )[0]
+            res = run_scenario(
+                sid,
+                **run,
+                params={k: v for k, v in params.items() if k in declared[sid]},
+                cache_dir=cache_dir,
+            )
         except (MissingKernelError, ParamValidationError) as exc:
             raise CliError(str(exc)) from exc
         results.append(res)
         if not args.quiet:
-            status = "PASS" if res.all_checks_pass else "FAIL"
             failing = [k for k, ok in res.checks.items() if not ok]
             extra = f"  failing: {', '.join(failing)}" if failing else ""
-            notes = []
-            if res.cached_replications:
-                notes.append(f"{res.cached_replications} cached")
-            if res.precision is not None:
-                notes.append(
-                    "target met"
-                    if res.precision["met"]
-                    else "target NOT met at max-reps"
-                )
-            note = f" ({', '.join(notes)})" if notes else ""
             print(
-                f"{res.scenario_id:>4}  {status}  "
-                f"{res.n_replications} reps in {res.elapsed_seconds:.2f}s "
-                f"[{res.backend}]{note}{extra}",
+                f"{res.scenario_id:>4}  "
+                f"{_progress(res, 'target NOT met at max-reps')}{extra}",
                 file=sys.stderr,
             )
 
@@ -393,6 +387,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.markdown:
         _emit(args.markdown, generate_markdown(results))
     return 0 if all(r.all_checks_pass for r in results) else 1
+
+
+def _progress(res: ScenarioResult, unmet: str) -> str:
+    """One run's progress text: PASS/FAIL, replications, time and
+    backend, with notes on cached replications and the precision target
+    (``unmet`` is the note for a missed target)."""
+    status = "PASS" if res.all_checks_pass else "FAIL"
+    notes = []
+    if res.cached_replications:
+        notes.append(f"{res.cached_replications} cached")
+    if res.precision is not None:
+        notes.append("target met" if res.precision["met"] else unmet)
+    note = f" ({', '.join(notes)})" if notes else ""
+    return (
+        f"{status}  {res.n_replications} reps in "
+        f"{res.elapsed_seconds:.2f}s [{res.backend}]{note}"
+    )
 
 
 def _emit(path: str, text: str) -> None:

@@ -38,10 +38,9 @@ from repro.experiments.registry import (
     CheckFn,
     Scenario,
     SimulateFn,
-    _set_pack_info,
+    VectorizedKernel,
     register,
 )
-from repro.sim.vectorized import VectorizedKernel, register_kernel
 
 __all__ = [
     "ScenarioPack",
@@ -125,10 +124,10 @@ class ScenarioPack:
     ) -> Callable[[SimulateFn], SimulateFn]:
         """Decorator declaring one scenario of this pack.
 
-        Same signature as :func:`repro.experiments.registry.scenario`
-        plus ``schema``; the scenario is collected into the manifest and
-        reaches the global registry when the pack is registered.  Returns
-        the simulate function unchanged (so it stays picklable)."""
+        The keywords are the :class:`~repro.experiments.registry.Scenario`
+        fields; the scenario is collected into the manifest and reaches
+        the global registry when the pack is registered.  Returns the
+        simulate function unchanged (so it stays picklable)."""
         key = scenario_id.upper()
         if schema is None:
             schema = self._schemas.get(key)
@@ -157,9 +156,10 @@ class ScenarioPack:
         self, scenario_id: str, *, mode: str, note: str = ""
     ) -> Callable:
         """Decorator declaring the vectorized kernel for one of this
-        pack's scenarios (same contract as
-        :func:`repro.sim.vectorized.vectorized_kernel`).  Returns the
-        function unchanged."""
+        pack's scenarios (see
+        :class:`~repro.experiments.registry.VectorizedKernel` for the
+        contract and the modes).  Returns the function unchanged (so it
+        stays picklable)."""
         key = scenario_id.upper()
 
         def decorate(fn):
@@ -167,9 +167,7 @@ class ScenarioPack:
                 raise PackError(
                     f"pack {self.name!r} declares a kernel for {scenario_id!r} twice"
                 )
-            self.kernels[key] = VectorizedKernel(
-                scenario_id=scenario_id, fn=fn, mode=mode, note=note
-            )
+            self.kernels[key] = VectorizedKernel(fn=fn, mode=mode, note=note)
             return fn
 
         return decorate
@@ -218,8 +216,9 @@ _LOADED = False
 
 
 def register_pack(pack: ScenarioPack, *, source: str = "direct") -> ScenarioPack:
-    """Validate a pack and push its scenarios and kernels into the global
-    registries.
+    """Validate a pack and write one registry record per scenario: the
+    scenario, its kernel (if the pack declares one), the pack's name and
+    version, and the pack as owner.
 
     Idempotent for identical content (re-importing a pack module, or the
     same pack reachable both as a built-in and an entry point, is a
@@ -234,11 +233,13 @@ def register_pack(pack: ScenarioPack, *, source: str = "direct") -> ScenarioPack
         )
     pack.validate()
     owner = f"pack {pack.name!r} ({source})"
-    for sc in pack.scenarios.values():
-        register(sc, owner=owner)
-        _set_pack_info(sc.scenario_id, pack.name, pack.version)
-    for kernel in pack.kernels.values():
-        register_kernel(kernel, owner=owner)
+    for key, sc in pack.scenarios.items():
+        register(
+            sc,
+            owner=owner,
+            kernel=pack.kernels.get(key),
+            pack=(pack.name, pack.version),
+        )
     _DISCOVERED[pack.name] = (pack, source)
     return pack
 
@@ -258,7 +259,9 @@ def load_packs() -> None:
     for module_name in BUILTIN_PACK_MODULES:
         module = importlib.import_module(module_name)
         register_pack(module.PACK, source="builtin")
-    for ep in _entry_points():
+    from importlib.metadata import entry_points
+
+    for ep in entry_points(group=ENTRY_POINT_GROUP):
         if ep.name in _DISCOVERED:
             continue
         try:
@@ -273,17 +276,6 @@ def load_packs() -> None:
                 stacklevel=2,
             )
     _LOADED = True
-
-
-def _entry_points():
-    """All entries of the ``repro.scenario_packs`` group, in a form that
-    works on every supported importlib.metadata API generation."""
-    from importlib.metadata import entry_points
-
-    try:
-        return list(entry_points(group=ENTRY_POINT_GROUP))
-    except TypeError:  # pragma: no cover - legacy (<3.10) mapping API
-        return list(entry_points().get(ENTRY_POINT_GROUP, []))
 
 
 def discovered_packs() -> list[tuple[ScenarioPack, str]]:

@@ -5,16 +5,19 @@ a per-replication ``simulate`` function, default parameters, the claim text
 it validates, and *shape checks* — named predicates over the measured
 metrics that encode "who wins, by what order" rather than absolute numbers.
 
-Scenarios reach the registry through *scenario packs*
+This module is the one id-keyed table: each id maps to one record
+holding the scenario, its optional vectorized kernel, its pack
+provenance and its owner.  Scenarios reach it through *scenario packs*
 (:mod:`repro.experiments.packs`): each built-in family pack — and any
 third-party pack installed under the ``repro.scenario_packs`` entry-point
 group — declares its scenarios (and optional vectorized kernels) in a
-:class:`~repro.experiments.packs.ScenarioPack` manifest that is registered
-on discovery.  Ad-hoc scenarios may also be registered directly via
-:func:`register` or the :func:`scenario` decorator.  Everything downstream
-(the replication runner, the CLIs, the report generator, the benchmarks)
-discovers experiments by id through :func:`get_scenario` /
-:func:`list_scenarios` instead of hard-coding workloads.
+:class:`~repro.experiments.packs.ScenarioPack` manifest whose registration
+writes one record per scenario.  Ad-hoc scenarios may also be registered
+directly via :func:`register`.  Everything downstream (the replication
+runner, the CLIs, the report generator, the benchmarks) discovers
+experiments by id through :func:`get_scenario` / :func:`list_scenarios`,
+and kernels through :func:`has_kernel` / :func:`get_kernel`, instead of
+hard-coding workloads.  Packs are discovered on the first lookup.
 
 The per-replication contract is::
 
@@ -31,7 +34,7 @@ encoded as 0.0/1.0 so every metric aggregates uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,24 +45,26 @@ __all__ = [
     "Scenario",
     "CheckOutcome",
     "ParamValidationError",
-    "scenario",
+    "VectorizedKernel",
+    "KERNEL_MODES",
     "register",
     "is_registered",
     "get_scenario",
     "list_scenarios",
     "scenario_ids",
     "pack_info",
+    "has_kernel",
+    "get_kernel",
+    "kernel_ids",
 ]
 
 SimulateFn = Callable[[np.random.SeedSequence, Mapping[str, Any]], "dict[str, float]"]
 CheckFn = Callable[[Mapping[str, float]], bool]
+BatchSimulateFn = Callable[
+    [Sequence[np.random.SeedSequence], Mapping[str, Any]], "list[dict[str, float]]"
+]
 
-_REGISTRY: dict[str, "Scenario"] = {}
-# key -> human-readable owner ("module 'x'" / "pack 'bandits' (builtin)"),
-# named in genuine-collision errors so the loser knows who holds the id
-_OWNERS: dict[str, str] = {}
-# key -> (pack name, pack version) for scenarios registered through a pack
-_PACK_OF: dict[str, tuple[str, str]] = {}
+KERNEL_MODES = ("batched", "cached", "lockstep", "direct")
 
 
 class ParamValidationError(ValueError):
@@ -92,6 +97,44 @@ def _fingerprint(fn: Callable) -> tuple:
     if code is None:
         return (id(fn),)
     return (fn.__qualname__, code.co_filename, code.co_firstlineno)
+
+
+@dataclass(frozen=True)
+class VectorizedKernel:
+    """A scenario's vectorized kernel: the batch simulate function plus
+    metadata.
+
+    ``fn(seeds, params)`` runs all replications of the scenario at once
+    and returns one metric dict per seed, bit-for-bit equal to what the
+    scenario's ``simulate`` returns for that seed (the rules a kernel
+    follows to keep that are listed in :mod:`repro.sim.vectorized`).
+
+    ``mode`` is ``"batched"`` when the kernel genuinely vectorizes the
+    per-replication computation across replications (expect a large
+    speedup); ``"lockstep"`` when the scenario is event-/epoch-driven and
+    the kernel advances the whole replication batch one event or epoch
+    per step through the lockstep rollout simulators of
+    :mod:`repro.sim.vectorized` (expect a solid constant-factor speedup,
+    bounded by any per-replication analysis the scenario also performs);
+    or ``"cached"`` when the scenario is dominated by work that is
+    identical across replications — the kernel hoists that shared
+    computation out of the loop and leaves the per-replication
+    stochastic part on the scenario's own simulator (expect a speedup
+    proportional to the hoisted fraction, which may be modest); or
+    ``"direct"`` when nothing is worth hoisting — the kernel calls the
+    scenario's own ``simulate`` per replication, so the scenario still
+    runs on (and ``auto`` still resolves to) the vectorized backend
+    (expect no speedup).
+    All modes are bit-for-bit equivalent to the event backend.
+    """
+
+    fn: BatchSimulateFn
+    mode: str
+    note: str = ""
+
+    def __post_init__(self):
+        if self.mode not in KERNEL_MODES:
+            raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -210,26 +253,57 @@ class Scenario:
         }
 
 
-def register(sc: Scenario, *, owner: str | None = None) -> Scenario:
-    """Add a scenario to the registry.
+@dataclass(frozen=True)
+class _Record:
+    """Everything the registry knows about one id."""
+
+    scenario: Scenario
+    # human-readable owner ("module 'x'" / "pack 'bandits' (builtin)"),
+    # named in genuine-collision errors so the loser knows who holds the id
+    owner: str
+    kernel: VectorizedKernel | None = None
+    # (pack name, pack version) for scenarios registered through a pack
+    pack: tuple[str, str] | None = None
+
+
+_REGISTRY: dict[str, _Record] = {}
+
+
+def register(
+    sc: Scenario,
+    *,
+    owner: str | None = None,
+    kernel: VectorizedKernel | None = None,
+    pack: tuple[str, str] | None = None,
+) -> Scenario:
+    """Add a scenario — with its optional kernel and pack provenance — to
+    the registry.
 
     Re-registering an *identical* ``(id, simulate)`` pair — the same
     function object, or the same function re-created by a module re-import
     — is an idempotent no-op returning the already-registered scenario.
-    A genuine collision (same id, different simulate function) raises,
-    naming the module or pack that owns the existing entry.  ``owner`` is
-    the human-readable label recorded for such errors; it defaults to the
-    simulate function's module.
+    A genuine collision (same id, different simulate function, or a
+    different kernel function) raises, naming the module or pack that owns
+    the existing entry.  ``owner`` is the human-readable label recorded
+    for such errors; it defaults to the simulate function's module.
+    ``pack`` is the ``(name, version)`` pair :func:`pack_info` reports;
+    :func:`~repro.experiments.packs.register_pack` passes it.
     """
     key = sc.scenario_id.upper()
     existing = _REGISTRY.get(key)
     if existing is not None:
-        if _fingerprint(existing.simulate) == _fingerprint(sc.simulate):
-            return existing
+        same_kernel = kernel is None or (
+            existing.kernel is not None
+            and _fingerprint(existing.kernel.fn) == _fingerprint(kernel.fn)
+        )
+        if same_kernel and (
+            _fingerprint(existing.scenario.simulate) == _fingerprint(sc.simulate)
+        ):
+            return existing.scenario
         raise ValueError(
             f"scenario {sc.scenario_id!r} already registered by "
-            f"{_OWNERS.get(key, 'an unknown owner')}; pick a different "
-            f"scenario id for the new registration"
+            f"{existing.owner}; pick a different scenario id for the new "
+            f"registration"
         )
     if sc.schema is not None:
         errors = schema_errors(sc.defaults, sc.schema, path="")
@@ -238,82 +312,58 @@ def register(sc: Scenario, *, owner: str | None = None) -> Scenario:
                 f"scenario {sc.scenario_id!r} declares defaults that violate "
                 f"its own param schema: " + "; ".join(errors)
             )
-    _REGISTRY[key] = sc
-    _OWNERS[key] = owner or f"module {getattr(sc.simulate, '__module__', '?')!r}"
+    _REGISTRY[key] = _Record(
+        scenario=sc,
+        owner=owner or f"module {getattr(sc.simulate, '__module__', '?')!r}",
+        kernel=kernel,
+        pack=pack,
+    )
     return sc
-
-
-def _set_pack_info(scenario_id: str, name: str, version: str) -> None:
-    # recorded by ScenarioPack registration; read back by pack_info()
-    _PACK_OF[scenario_id.upper()] = (str(name), str(version))
 
 
 def pack_info(scenario_id: str) -> tuple[str, str]:
     """The ``(pack name, pack version)`` provenance of a scenario.
 
-    Scenarios registered outside any pack (ad-hoc :func:`register` /
-    :func:`scenario` uses) report ``("unpackaged", <package version>)`` so
-    cache keys built on provenance still invalidate on package upgrades.
+    Scenarios registered outside any pack (ad-hoc :func:`register` uses)
+    report ``("unpackaged", <package version>)`` so cache keys built on
+    provenance still invalidate on package upgrades.
     """
-    _ensure_loaded()
-    key = scenario_id.upper()
-    if key in _PACK_OF:
-        return _PACK_OF[key]
+    record = _lookup(scenario_id)
+    if record is not None and record.pack is not None:
+        return record.pack
     import repro
 
     return ("unpackaged", repro.__version__)
 
 
-def scenario(
-    scenario_id: str,
-    *,
-    title: str,
-    claim: str,
-    verdict: str,
-    defaults: Mapping[str, Any] | None = None,
-    checks: Mapping[str, CheckFn] | None = None,
-    tags: tuple[str, ...] = (),
-    schema: Mapping[str, Any] | None = None,
-) -> Callable[[SimulateFn], SimulateFn]:
-    """Decorator registering a simulate function as a :class:`Scenario`.
-
-    Returns the function unchanged so it stays a plain module-level callable
-    (and therefore picklable for the multiprocess runner).
-    """
-
-    def decorate(fn: SimulateFn) -> SimulateFn:
-        register(
-            Scenario(
-                scenario_id=scenario_id,
-                title=title,
-                claim=claim,
-                verdict=verdict,
-                simulate=fn,
-                defaults=dict(defaults or {}),
-                checks=dict(checks or {}),
-                tags=tuple(tags),
-                schema=dict(schema) if schema is not None else None,
-            )
-        )
-        return fn
-
-    return decorate
-
-
-_BUILTINS_LOADED = False
+_DISCOVERY_STARTED = False
 
 
 def _ensure_loaded() -> None:
     # The built-in scenarios live in the family packs under
     # repro.experiments.packs (plus any entry-point packs); defer their
     # discovery so registry <-> packs does not cycle and ad-hoc Scenario
-    # objects can be registered first.
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        _BUILTINS_LOADED = True
+    # objects can be registered first.  The flag is set before discovery,
+    # so a lookup made during it sees the packs registered so far instead
+    # of recursing, and reset if discovery fails, so the next lookup
+    # re-raises the real error rather than answering from a half-filled
+    # table (pack registration is idempotent, so the retry is safe).
+    global _DISCOVERY_STARTED
+    if _DISCOVERY_STARTED:
+        return
+    _DISCOVERY_STARTED = True
+    try:
         from repro.experiments.packs import load_packs
 
         load_packs()
+    except BaseException:
+        _DISCOVERY_STARTED = False
+        raise
+
+
+def _lookup(scenario_id: str) -> _Record | None:
+    _ensure_loaded()
+    return _REGISTRY.get(scenario_id.upper())
 
 
 def is_registered(sc: Scenario) -> bool:
@@ -322,19 +372,18 @@ def is_registered(sc: Scenario) -> bool:
     The parallel runner uses this to decide whether a worker process can
     re-resolve the scenario by id (registered) or must receive the
     ``simulate`` callable directly (ad-hoc object)."""
-    _ensure_loaded()
-    return _REGISTRY.get(sc.scenario_id.upper()) is sc
+    record = _lookup(sc.scenario_id)
+    return record is not None and record.scenario is sc
 
 
 def get_scenario(scenario_id: str) -> Scenario:
     """Look up a scenario by id (case-insensitive)."""
-    _ensure_loaded()
-    key = scenario_id.upper()
-    if key not in _REGISTRY:
+    record = _lookup(scenario_id)
+    if record is None:
         raise KeyError(
             f"unknown scenario {scenario_id!r}; available: {scenario_ids()}"
         )
-    return _REGISTRY[key]
+    return record.scenario
 
 
 def _sort_key(sid: str) -> tuple:
@@ -354,8 +403,29 @@ def list_scenarios(tags: tuple[str, ...] | None = None) -> list[Scenario]:
     """All registered scenarios, optionally filtered to those bearing
     every tag in ``tags``."""
     _ensure_loaded()
-    out = [_REGISTRY[k] for k in scenario_ids()]
+    out = [_REGISTRY[k].scenario for k in scenario_ids()]
     if tags:
         wanted = set(tags)
         out = [sc for sc in out if wanted <= set(sc.tags)]
     return out
+
+
+def has_kernel(scenario_id: str) -> bool:
+    """Whether a vectorized kernel is registered for ``scenario_id``."""
+    record = _lookup(scenario_id)
+    return record is not None and record.kernel is not None
+
+
+def get_kernel(scenario_id: str) -> VectorizedKernel:
+    """Look up the kernel for ``scenario_id`` (case-insensitive)."""
+    record = _lookup(scenario_id)
+    if record is None or record.kernel is None:
+        raise KeyError(
+            f"no vectorized kernel for {scenario_id!r}; available: {kernel_ids()}"
+        )
+    return record.kernel
+
+
+def kernel_ids() -> list[str]:
+    """All scenario ids with a registered kernel, in natural order."""
+    return [sid for sid in scenario_ids() if _REGISTRY[sid].kernel is not None]

@@ -16,11 +16,11 @@ only plain data crosses the process boundary and scenarios may freely use
 lambdas in their check tables.
 
 Backends: replications run through the scenario's event-driven
-``simulate`` function or, for scenarios with a registered vectorized
-kernel (:mod:`repro.sim.vectorized`), through the batched kernel.  The
-two backends are bit-for-bit equivalent per replication, so every
-statistic here is identical for any ``backend`` choice — and, as before,
-for any worker count.  :func:`resolve_backend` maps a request
+``simulate`` function or, for scenarios whose registry record holds a
+vectorized kernel, through the batched kernel.  The two backends are
+bit-for-bit equivalent per replication, so every statistic here is
+identical for any ``backend`` choice — and, as before, for any worker
+count.  :func:`resolve_backend` maps a request
 (``"event"``, ``"vectorized"`` or ``"auto"``) to the backend that runs.
 
 Two optional layers sit on top of the fixed-count loop:
@@ -40,15 +40,21 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.registry import Scenario, get_scenario, is_registered
+from repro.experiments.registry import (
+    Scenario,
+    get_kernel,
+    get_scenario,
+    has_kernel,
+    is_registered,
+    kernel_ids,
+)
 from repro.experiments.store import SampleStore, StoreBackend
 from repro.sim.replication import map_seed_chunks
 from repro.sim.sequential import PrecisionTarget, run_sequential_replications
-from repro.sim.vectorized import get_kernel, has_kernel, kernel_ids
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.serialization import jsonable as _jsonable
 from repro.utils.stats import summarize_rows
@@ -60,7 +66,6 @@ __all__ = [
     "ScenarioResult",
     "resolve_backend",
     "run_scenario",
-    "run_scenarios",
     "simulate_scenario_batch",
 ]
 
@@ -434,73 +439,3 @@ def run_scenario(
         cached_replications=cached_used,
     )
 
-
-def run_scenarios(
-    scenario_ids: Sequence[str | Scenario],
-    *,
-    replications: int = 10,
-    seed: int | None = 0,
-    workers: int | None = 1,
-    params: Mapping[str, Any] | Sequence[Mapping[str, Any] | None] | None = None,
-    level: float = 0.95,
-    backend: str = "auto",
-    target_precision: PrecisionTarget | float | None = None,
-    min_reps: int | None = None,
-    max_reps: int | None = None,
-    cache_dir: str | os.PathLike | StoreBackend | None = None,
-    progress: Callable[[ScenarioResult], None] | None = None,
-) -> list[ScenarioResult]:
-    """Run several scenarios in sequence with a shared configuration.
-
-    Each scenario derives its replication seeds from the same root seed.
-    ``params`` comes in two forms:
-
-    * a single mapping — shared overrides, applied only where a scenario
-      declares the parameter (unknown keys for a given scenario are
-      skipped, so a shared ``horizon`` override can target just the
-      simulation-backed scenarios);
-    * a sequence aligned with ``scenario_ids`` — per-entry overrides,
-      applied *verbatim* to their entry (unknown keys raise, since a
-      positional override was clearly meant for that scenario).  The
-      sweep runner uses this form to run one scenario at many parameter
-      points; the same id may appear any number of times.
-
-    With ``target_precision`` each entry stops at its own achieved ``n``;
-    with ``cache_dir`` every entry reads and grows its own sample-store
-    record (distinct parameter points address distinct entries).
-    ``progress`` is called with each :class:`ScenarioResult` as it
-    completes, in order.
-    """
-    if params is None or isinstance(params, Mapping):
-        shared = params or {}
-        per_item: list[Mapping[str, Any] | None] = [None] * len(scenario_ids)
-    else:
-        if len(params) != len(scenario_ids):
-            raise ValueError(
-                f"per-scenario params sequence has {len(params)} entries "
-                f"for {len(scenario_ids)} scenarios"
-            )
-        shared = None
-        per_item = list(params)
-    results = []
-    for item, overrides in zip(scenario_ids, per_item):
-        sc = get_scenario(item) if isinstance(item, str) else item
-        if shared is not None:
-            overrides = {k: v for k, v in shared.items() if k in sc.defaults}
-        result = run_scenario(
-            sc,
-            replications=replications,
-            seed=seed,
-            workers=workers,
-            params=overrides,
-            level=level,
-            backend=backend,
-            target_precision=target_precision,
-            min_reps=min_reps,
-            max_reps=max_reps,
-            cache_dir=cache_dir,
-        )
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results

@@ -45,6 +45,7 @@ from repro.experiments.cli import (
     _emit,
     _literal,
     _parse_param,
+    _progress,
     output_flags,
     run_flags,
     run_options,
@@ -274,23 +275,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise CliError(exc.args[0]) from exc
 
     def progress(point, res) -> None:
-        if args.quiet:
-            return
-        status = "PASS" if res.all_checks_pass else "FAIL"
-        notes = []
-        if res.cached_replications:
-            notes.append(f"{res.cached_replications} cached")
-        if res.precision is not None:
-            notes.append(
-                "target met" if res.precision["met"] else "target NOT met"
+        if not args.quiet:
+            print(
+                f"[{point.index:>3}] {point.label()}  "
+                f"{_progress(res, 'target NOT met')}",
+                file=sys.stderr,
             )
-        note = f" ({', '.join(notes)})" if notes else ""
-        print(
-            f"[{point.index:>3}] {point.label()}  {status}  "
-            f"{res.n_replications} reps in {res.elapsed_seconds:.2f}s "
-            f"[{res.backend}]{note}",
-            file=sys.stderr,
-        )
 
     try:
         sweep = run_sweep(

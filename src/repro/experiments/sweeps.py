@@ -12,8 +12,8 @@ scenario into a *family* of parameter points from a declarative spec:
   every point.  Axis names are validated against the scenario's declared
   parameter schema (its ``defaults``) before any simulation runs.
 * :func:`run_sweep` — expands the spec into concrete
-  :class:`SweepPoint` s and runs them through
-  :func:`~repro.experiments.runner.run_scenarios`, so every runner
+  :class:`SweepPoint` s and runs each through
+  :func:`~repro.experiments.runner.run_scenario`, so every runner
   feature applies per point: the vectorized backend, the adaptive
   sequential controller (``target_precision`` — each point stops at its
   own achieved ``n``), and the content-addressed sample store
@@ -58,7 +58,7 @@ from itertools import product
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.experiments.registry import Scenario, get_scenario
-from repro.experiments.runner import BACKENDS, ScenarioResult, run_scenarios
+from repro.experiments.runner import BACKENDS, ScenarioResult, run_scenario
 from repro.experiments.store import SampleStore, StoreBackend
 from repro.sim.sequential import (
     DEFAULT_MAX_REPS,
@@ -513,29 +513,26 @@ def run_sweep(
             raise ValueError(
                 f"where filter {dict(where)!r} matches no point of the sweep"
             )
-    per_point_callback = None
-    if progress is not None:
-        by_position = iter(points)
-
-        def per_point_callback(res: ScenarioResult) -> None:
-            progress(next(by_position), res)
-
     # elapsed_seconds is reporting-only; it never feeds metrics or seeds
     start = time.perf_counter()  # repro-lint: disable=REP003
-    results = run_scenarios(
-        [p.scenario_id for p in points],
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        params=[p.overrides for p in points],
-        level=level,
-        backend=backend,
-        target_precision=target_precision,
-        min_reps=min_reps,
-        max_reps=max_reps,
-        cache_dir=cache_dir,
-        progress=per_point_callback,
-    )
+    results = []
+    for point in points:
+        result = run_scenario(
+            point.scenario_id,
+            replications=replications,
+            seed=seed,
+            workers=workers,
+            params=point.overrides,
+            level=level,
+            backend=backend,
+            target_precision=target_precision,
+            min_reps=min_reps,
+            max_reps=max_reps,
+            cache_dir=cache_dir,
+        )
+        results.append(result)
+        if progress is not None:
+            progress(point, result)
     elapsed = time.perf_counter() - start  # repro-lint: disable=REP003
     return SweepResult(
         spec=spec,

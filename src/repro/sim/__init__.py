@@ -1,11 +1,12 @@
-"""Simulation substrate: replication runners and the kernel registry.
+"""Simulation substrate: replication runners and batched primitives.
 
 The survey observes that "computer simulation remains the most widely used
 tool in applications of these models". No simulation package is assumed; this
 subpackage implements the substrate from scratch: serial, parallel and paired
 replication runners producing confidence intervals, the adaptive
-sequential-stopping controller, and the vectorized-kernel registry with its
-batched primitives.
+sequential-stopping controller, and the batched primitives the vectorized
+kernels share (:mod:`repro.sim.vectorized`).  The kernels themselves are
+registered beside their scenarios in :mod:`repro.experiments.registry`.
 """
 
 from repro.sim.replication import (
@@ -20,14 +21,6 @@ from repro.sim.sequential import (
     SequentialOutcome,
     run_sequential_replications,
 )
-from repro.sim.vectorized import (
-    VectorizedKernel,
-    get_kernel,
-    has_kernel,
-    kernel_ids,
-    register_kernel,
-    vectorized_kernel,
-)
 
 __all__ = [
     "ReplicationResult",
@@ -38,10 +31,4 @@ __all__ = [
     "PrecisionTarget",
     "SequentialOutcome",
     "run_sequential_replications",
-    "VectorizedKernel",
-    "vectorized_kernel",
-    "register_kernel",
-    "get_kernel",
-    "has_kernel",
-    "kernel_ids",
 ]

@@ -1,4 +1,4 @@
-"""Vectorized replication kernels: the second simulation backend.
+"""Batched primitives of the vectorized backend.
 
 The event-driven path runs one replication at a time through a scenario's
 ``simulate`` function.  A *vectorized kernel* runs **all replications of a
@@ -15,21 +15,17 @@ the rules a kernel follows to keep it.  The runner maps a backend
 request to the backend that runs
 (:func:`repro.experiments.runner.resolve_backend`).
 
-Two ingredients live here:
-
-* the **kernel registry** — scenario kernels (defined in the scenario
-  packs under :mod:`repro.experiments.packs`) register under their
-  scenario id via :func:`vectorized_kernel`; the runner and CLI discover
-  them through :func:`has_kernel` / :func:`get_kernel`;
-* **generic batched primitives** — scenario-agnostic numerics shared by
-  the kernels: batched sequence flowtimes and brute-force permutation
-  minima, the batched subset DP for exponential parallel machines,
-  lockstep restless-fleet rollouts for E8 and E19 (all replications
-  advance one epoch per step;
-  :func:`lockstep_heterogeneous_rollouts` advances every replication's
-  heterogeneous fleet on shared ``(reps, projects, states)`` arrays),
-  batched switching-MDP assembly, batched flow-shop recurrences, and a
-  batched restart-in-state Gittins solver.
+The kernels themselves are defined in the scenario packs under
+:mod:`repro.experiments.packs` and registered beside their scenarios in
+:mod:`repro.experiments.registry`.  What lives here are the **generic
+batched primitives** — scenario-agnostic numerics shared by the kernels:
+batched sequence flowtimes and brute-force permutation minima, the
+batched subset DP for exponential parallel machines, lockstep
+restless-fleet rollouts for E8 and E19 (all replications advance one
+epoch per step; :func:`lockstep_heterogeneous_rollouts` advances every
+replication's heterogeneous fleet on shared ``(reps, projects, states)``
+arrays), batched switching-MDP assembly, batched flow-shop recurrences,
+and a batched restart-in-state Gittins solver.
 
 The ``direct`` kernels (E2, E7, E10–E12, E15, E16, A2) have no primitive
 here: they call the scenario's own ``simulate`` per replication, because
@@ -77,18 +73,11 @@ equivalence tests, so a platform where one failed would fail loudly):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "VectorizedKernel",
-    "vectorized_kernel",
-    "register_kernel",
-    "has_kernel",
-    "get_kernel",
-    "kernel_ids",
     "all_permutations",
     "sequence_flowtime_batch",
     "min_flowtime_over_permutations",
@@ -100,148 +89,6 @@ __all__ = [
     "flowshop_makespan_batch",
     "restart_gittins_batch",
 ]
-
-BatchSimulateFn = Callable[
-    [Sequence[np.random.SeedSequence], Mapping[str, Any]], "list[dict[str, float]]"
-]
-
-KERNEL_MODES = ("batched", "cached", "lockstep", "direct")
-
-
-@dataclass(frozen=True)
-class VectorizedKernel:
-    """One registered kernel: the batch simulate function plus metadata.
-
-    ``mode`` is ``"batched"`` when the kernel genuinely vectorizes the
-    per-replication computation across replications (expect a large
-    speedup); ``"lockstep"`` when the scenario is event-/epoch-driven and
-    the kernel advances the whole replication batch one event or epoch
-    per step through the lockstep rollout simulators in this module
-    (expect a solid constant-factor speedup, bounded by any
-    per-replication analysis the scenario also performs); or
-    ``"cached"`` when the scenario is dominated by work that is
-    identical across replications — the kernel hoists that shared
-    computation out of the loop and leaves the per-replication
-    stochastic part on the scenario's own simulator (expect a speedup
-    proportional to the hoisted fraction, which may be modest); or
-    ``"direct"`` when nothing is worth hoisting — the kernel calls the
-    scenario's own ``simulate`` per replication, so the scenario still
-    runs on (and ``auto`` still resolves to) the vectorized backend
-    (expect no speedup).
-    All modes are bit-for-bit equivalent to the event backend.
-    """
-
-    scenario_id: str
-    fn: BatchSimulateFn
-    mode: str
-    note: str = ""
-
-    def __post_init__(self):
-        if self.mode not in KERNEL_MODES:
-            raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
-
-
-_KERNELS: dict[str, VectorizedKernel] = {}
-# key -> human-readable owner, named in genuine-collision errors
-_KERNEL_OWNERS: dict[str, str] = {}
-_BINDINGS_LOADED = False
-
-
-def _ensure_loaded() -> None:
-    # The scenario kernels live in the family packs under
-    # repro.experiments.packs and register on pack discovery; defer that
-    # (mirroring the scenario registry) so sim <-> experiments does not
-    # cycle at module-import time.  The loaded flag is only set on success,
-    # and pack registration is idempotent, so a failed discovery propagates
-    # now but stays retryable instead of silently reporting an empty
-    # kernel registry forever.
-    global _BINDINGS_LOADED
-    if not _BINDINGS_LOADED:
-        # deliberate upward import: the kernel registry late-binds to the
-        # pack layer by design (see comment above) and never at import time
-        from repro.experiments.packs import load_packs  # repro-lint: disable=REP020
-
-        load_packs()
-        _BINDINGS_LOADED = True
-
-
-def _kernel_fingerprint(fn) -> tuple:
-    # same re-import-stable identity as the scenario registry's: qualname
-    # plus code location survives importlib.reload and double imports
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return (id(fn),)
-    return (fn.__qualname__, code.co_filename, code.co_firstlineno)
-
-
-def register_kernel(
-    kernel: VectorizedKernel, *, owner: str | None = None
-) -> VectorizedKernel:
-    """Add a kernel to the registry.
-
-    Re-registering an identical ``(scenario id, fn)`` pair — including the
-    same function re-created by a module re-import — is an idempotent
-    no-op returning the existing kernel; a genuine collision (same id,
-    different function) raises, naming the owner of the existing entry.
-    """
-    key = kernel.scenario_id.upper()
-    existing = _KERNELS.get(key)
-    if existing is not None:
-        if _kernel_fingerprint(existing.fn) == _kernel_fingerprint(kernel.fn):
-            return existing
-        raise ValueError(
-            f"kernel for {kernel.scenario_id!r} already registered by "
-            f"{_KERNEL_OWNERS.get(key, 'an unknown owner')}"
-        )
-    _KERNELS[key] = kernel
-    _KERNEL_OWNERS[key] = owner or f"module {getattr(kernel.fn, '__module__', '?')!r}"
-    return kernel
-
-
-def vectorized_kernel(
-    scenario_id: str, *, mode: str, note: str = ""
-) -> Callable[[BatchSimulateFn], BatchSimulateFn]:
-    """Decorator registering a batch simulate function as the vectorized
-    kernel for ``scenario_id``.  Returns the function unchanged (so it
-    stays a plain picklable module-level callable)."""
-
-    def decorate(fn: BatchSimulateFn) -> BatchSimulateFn:
-        register_kernel(
-            VectorizedKernel(scenario_id=scenario_id, fn=fn, mode=mode, note=note)
-        )
-        return fn
-
-    return decorate
-
-
-def has_kernel(scenario_id: str) -> bool:
-    """Whether a vectorized kernel is registered for ``scenario_id``."""
-    _ensure_loaded()
-    return scenario_id.upper() in _KERNELS
-
-
-def get_kernel(scenario_id: str) -> VectorizedKernel:
-    """Look up the kernel for ``scenario_id`` (case-insensitive)."""
-    _ensure_loaded()
-    key = scenario_id.upper()
-    if key not in _KERNELS:
-        raise KeyError(
-            f"no vectorized kernel for {scenario_id!r}; available: {kernel_ids()}"
-        )
-    return _KERNELS[key]
-
-
-def kernel_ids() -> list[str]:
-    """All scenario ids with a registered kernel, in natural order."""
-    _ensure_loaded()
-
-    def _key(sid: str) -> tuple:
-        head = sid.rstrip("0123456789")
-        tail = sid[len(head):]
-        return (head, int(tail) if tail else -1)
-
-    return sorted(_KERNELS, key=_key)
-
 
 # ---------------------------------------------------------------------------
 # Batched single-machine sequencing

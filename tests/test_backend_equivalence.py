@@ -31,8 +31,7 @@ from repro.experiments.runner import (
     resolve_backend,
     simulate_scenario_batch,
 )
-from repro.experiments.registry import get_scenario
-from repro.sim.vectorized import get_kernel
+from repro.experiments.registry import KERNEL_MODES, get_kernel, get_scenario
 from repro.utils.rng import spawn_seed_sequences
 
 # parameter overrides that shrink the slow scenarios so the exhaustive
@@ -131,7 +130,7 @@ def test_every_kernel_id_is_a_registered_scenario():
     registered = set(scenario_ids())
     for sid in kernel_ids():
         assert sid in registered
-        assert get_kernel(sid).mode in ("batched", "cached", "lockstep", "direct")
+        assert get_kernel(sid).mode in KERNEL_MODES
 
 
 def test_vectorized_chunking_cannot_change_results():

@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 
 from repro.experiments import discovered_packs, kernel_ids, pack_info, scenario_ids
-from repro.sim.vectorized import KERNEL_MODES, get_kernel
+from repro.experiments.registry import KERNEL_MODES, get_kernel
 
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 _GET_SCENARIO = re.compile(r"""get_scenario\(\s*["']([A-Za-z]+\d+)["']\s*\)""")

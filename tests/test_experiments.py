@@ -14,7 +14,6 @@ from repro.experiments import (
     load_results,
     results_to_json,
     run_scenario,
-    run_scenarios,
     scenario_ids,
 )
 from repro.experiments.cli import main as cli_main
@@ -126,14 +125,15 @@ def test_run_scenario_seed_sensitivity_and_aggregation():
     assert other.samples != res.samples
 
 
-def test_run_scenarios_scopes_param_overrides():
-    # n_jobs exists on E1 but not on E5; the shared override must only
+def test_cli_param_overrides_reach_only_declaring_scenarios(tmp_path):
+    # n_jobs exists on E1 but not on E5; the shared --param must only
     # reach the scenario declaring it.
-    results = run_scenarios(
-        ["E1", "E5"], replications=2, seed=0, workers=1, params={"n_jobs": 12}
-    )
-    assert results[0].params["n_jobs"] == 12
-    assert "n_jobs" not in results[1].params
+    out = tmp_path / "r.json"
+    argv = ["run", "E1", "E5", "--param", "n_jobs=12", "--replications", "2"]
+    assert cli_main(argv + ["--quiet", "--json", str(out)]) == 0
+    e1, e5 = json.loads(out.read_text())["results"]
+    assert e1["params"]["n_jobs"] == 12
+    assert "n_jobs" not in e5["params"]
 
 
 def test_single_replication_interval_is_infinite():
@@ -422,10 +422,13 @@ def test_cli_vectorized_without_kernel_errors(capsys, monkeypatch):
     # simulate a coverage gap: hide E5's kernel, then demand --backend
     # vectorized — the CLI must fail with a message naming the scenario
     # instead of silently running the event engine
-    from repro.sim import vectorized as vec
+    from dataclasses import replace
 
-    vec._ensure_loaded()
-    monkeypatch.delitem(vec._KERNELS, "E5")
+    from repro.experiments import registry
+
+    registry._ensure_loaded()
+    record = replace(registry._REGISTRY["E5"], kernel=None)
+    monkeypatch.setitem(registry._REGISTRY, "E5", record)
     code = cli_main(
         ["run", "E5", "--replications", "1", "--backend", "vectorized", "--quiet"]
     )

@@ -21,6 +21,7 @@ from repro.lint import LintReport, ModuleContext, lint_paths
 from repro.lint.cli import DEFAULT_PATHS
 from repro.lint.cli import main as lint_main
 from repro.lint.project import LAYER_TABLE, layer_of
+from repro.lint.suppress import suppressed_rules
 
 REPO = Path(__file__).parent.parent
 
@@ -686,6 +687,17 @@ class TestLayeringMetaTest:
             (layer, tuple(sorted(packages))) for layer, packages in LAYER_TABLE
         )
         assert documented == enforced
+
+    def test_layering_has_no_suppressed_exception(self):
+        # the table holds with no exception: no line under src/repro may
+        # silence REP020 (by name or through disable=all)
+        offenders = [
+            f"{path.relative_to(REPO)}:{line}"
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            for line, rules in suppressed_rules(path.read_text()).items()
+            if rules & {"REP020", "ALL"}
+        ]
+        assert offenders == []
 
     def test_every_repro_package_is_layered(self):
         # any new top-level repro.<pkg> must be added to the table

@@ -30,7 +30,7 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.store import SampleStore
 from repro.experiments.sweep_cli import main as sweep_main
-from repro.sim.vectorized import get_kernel
+from repro.experiments.registry import get_kernel
 from repro.utils.schema import schema_errors, validate_schema
 
 REPO = Path(__file__).parent.parent
@@ -229,9 +229,12 @@ def test_store_key_invalidation_is_scoped_to_the_bumped_pack(tmp_path, monkeypat
     key_e1 = store.key("E1", {}, 0)
     key_e10 = store.key("E10", {}, 0)
     # bump the flowshop pack only
+    from dataclasses import replace
+
     from repro.experiments import registry
 
-    monkeypatch.setitem(registry._PACK_OF, "E1", ("flowshop-batch", "9.9.9"))
+    record = replace(registry._REGISTRY["E1"], pack=("flowshop-batch", "9.9.9"))
+    monkeypatch.setitem(registry._REGISTRY, "E1", record)
     assert store.key("E1", {}, 0) != key_e1  # bumped pack: new key
     assert store.key("E10", {}, 0) == key_e10  # other packs: untouched
 
@@ -356,6 +359,31 @@ def test_packs_are_discovered_on_first_lookup_not_on_import():
         "from repro.experiments import get_scenario, has_kernel\n"
         "assert has_kernel('E1') and get_scenario('E15')\n"
         "assert set(mods) <= set(sys.modules)\n"
+    )
+    proc = _run(["-c", code], extra_path=REPO / "src")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_failed_discovery_is_retried_on_the_next_lookup():
+    # a built-in pack module that fails to import must fail every scenario
+    # and kernel lookup with the real error, not leave a half-filled
+    # registry behind; once the fault is gone, the next lookup succeeds
+    code = (
+        "from repro.experiments import get_scenario, has_kernel, packs, scenario_ids\n"
+        "good = packs.BUILTIN_PACK_MODULES\n"
+        "bad = list(good)\n"
+        "bad.insert(bad.index('repro.experiments.packs.restless'), 'no_such_pack')\n"
+        "packs.BUILTIN_PACK_MODULES = tuple(bad)\n"
+        "for lookup in (get_scenario, has_kernel) * 2:\n"
+        "    try:\n"
+        "        lookup('E19')\n"
+        "    except ModuleNotFoundError as exc:\n"
+        "        assert exc.name == 'no_such_pack', exc\n"
+        "    else:\n"
+        "        raise AssertionError(f'{lookup.__name__} hid the import error')\n"
+        "packs.BUILTIN_PACK_MODULES = good\n"
+        "assert get_scenario('E19') and has_kernel('E19')\n"
+        "assert len(scenario_ids()) == 22\n"
     )
     proc = _run(["-c", code], extra_path=REPO / "src")
     assert proc.returncode == 0, proc.stderr

@@ -23,7 +23,6 @@ from repro.experiments import (
     RUN_DEFAULTS,
     SweepSpec,
     run_scenario,
-    run_scenarios,
     run_sweep,
 )
 from repro.experiments.cli import main as experiments_main
@@ -126,7 +125,7 @@ def test_every_boundary_accepts_and_rejects_the_same_run_blocks(run):
     assert code in (0, 2)
 
 
-@pytest.mark.parametrize("fn", [run_scenario, run_scenarios, run_sweep])
+@pytest.mark.parametrize("fn", [run_scenario, run_sweep])
 def test_library_defaults_are_the_run_defaults(fn):
     parameters = inspect.signature(fn).parameters
     assert {key: parameters[key].default for key in RUN_DEFAULTS} == RUN_DEFAULTS

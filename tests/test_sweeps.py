@@ -16,7 +16,6 @@ from repro.experiments import (
     SweepSpec,
     generate_sweep_markdown,
     run_scenario,
-    run_scenarios,
     run_sweep,
     sweep_to_json,
 )
@@ -180,31 +179,6 @@ def test_adaptive_precision_applies_per_point():
         assert res.precision is not None
         assert res.precision["met"]
         assert 3 <= res.n_replications <= 24
-
-
-# ---------------------------------------------------------------------------
-# run_scenarios: per-entry params sequence (what the sweep rides on)
-# ---------------------------------------------------------------------------
-
-
-def test_run_scenarios_accepts_per_entry_params():
-    results = run_scenarios(
-        ["E1", "E1"],
-        replications=2,
-        seed=0,
-        params=[{"n_jobs": 8}, {"n_jobs": 12}],
-    )
-    assert results[0].params["n_jobs"] == 8
-    assert results[1].params["n_jobs"] == 12
-
-
-def test_run_scenarios_per_entry_params_are_strict():
-    with pytest.raises(ValueError, match="2 entries for 1 scenarios"):
-        run_scenarios(["E1"], replications=2, params=[{}, {}])
-    # positional overrides are applied verbatim: unknown keys raise
-    # (unlike the shared-mapping form, which skips them per scenario)
-    with pytest.raises(KeyError, match="no parameter"):
-        run_scenarios(["E1"], replications=2, params=[{"horizon": 1.0}])
 
 
 # ---------------------------------------------------------------------------
