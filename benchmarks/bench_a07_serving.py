@@ -20,9 +20,9 @@ are free of any accuracy trade.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 
-from repro.experiments import MemoryStore
 from repro.serve import ServerHarness
 
 
@@ -81,10 +81,10 @@ def test_a07_serving_economics(benchmark, report, record_bench, tmp_path):
     assert warm_doc == cold_doc  # byte-identical across daemons and cache
     assert status["simulated_replications"] == 0  # everything from store
 
-    # the benchmark fixture times the cheapest hot path: an in-memory
-    # daemon accepting one submission end to end
+    # the benchmark fixture times the cheapest hot path: a fresh daemon
+    # accepting one submission end to end
     def accept_one():
-        with ServerHarness(store=MemoryStore()) as h:
+        with tempfile.TemporaryDirectory() as store, ServerHarness(store=store) as h:
             return h.client().submit(_submission(reps=1, axes={"n_jobs": [6]}))
 
     benchmark(accept_one)

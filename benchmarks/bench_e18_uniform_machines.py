@@ -29,8 +29,8 @@ def test_e18_uniform_machines(benchmark, report):
         header=("case", "value", "target"),
     )
 
-    checks = SC.evaluate_checks(m)
-    assert all(checks.values()), checks
+    checks = SC.check_outcomes(m)
+    assert all(out.passed for out in checks.values()), checks
     assert m["greedy_identical_gap"] < 1e-12  # greedy fine here
     assert m["greedy_weighted_ratio"] > 1.01  # threshold structure matters
     assert m["speedup_ratio"] < 1.0  # monotone in machine speed

@@ -18,8 +18,9 @@ declare how the regression gate should treat it:
 
 The *trajectory* is an append-only JSON-Lines file: one canonical-JSON
 record per line (via :func:`repro.utils.serialization.canonical_json`),
-newest last.  Appends rewrite the file to a sibling temp file and
-``os.replace`` it, so a crash can never leave a torn line behind;
+newest last.  Appends rewrite the file through
+:func:`repro.utils.serialization.atomic_write`, so a crash can never
+leave a torn line behind;
 :func:`load_trajectory` still degrades corrupt content into a clean
 :class:`BenchRecordError` naming the offending line rather than an
 arbitrary ``json`` traceback.
@@ -31,14 +32,13 @@ import json
 import os
 import platform
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro.utils.serialization import canonical_json
+from repro.utils.serialization import atomic_write, canonical_json
 
 __all__ = [
     "SCHEMA",
@@ -153,10 +153,10 @@ def append_record(path: str | Path, record: Mapping[str, Any]) -> Path:
 
     The record is validated by round-tripping through
     :func:`make_record`'s metric checks, serialised as one canonical
-    JSON line, and written after the existing content to a temp file in
-    the same directory which then ``os.replace``-s the original — the
-    trajectory is at every instant either the old file or the new one,
-    never a torn intermediate.  Returns the path written.
+    JSON line, and written after the existing content through
+    :func:`~repro.utils.serialization.atomic_write` — the trajectory is
+    at every instant either the old file or the new one, never a torn
+    intermediate.  Returns the path written.
     """
     path = Path(path)
     if record.get("schema") != SCHEMA:
@@ -168,21 +168,10 @@ def append_record(path: str | Path, record: Mapping[str, Any]) -> Path:
     existing = path.read_bytes() if path.exists() else b""
     if existing and not existing.endswith(b"\n"):
         existing += b"\n"
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(existing)
-            fh.write(line.encode("utf-8"))
-            fh.write(b"\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as fh:
+        fh.write(existing)
+        fh.write(line.encode("utf-8"))
+        fh.write(b"\n")
     return path
 
 

@@ -97,7 +97,7 @@ from repro.experiments.report import (
     results_to_json,
     sweep_to_json,
 )
-from repro.experiments.store import MemoryStore, SampleStore, StoreBackend
+from repro.experiments.store import SampleStore
 from repro.experiments.sweeps import (
     RUN_DEFAULTS,
     SweepPoint,
@@ -138,9 +138,7 @@ __all__ = [
     "results_to_document",
     "results_to_json",
     "sweep_to_json",
-    "MemoryStore",
     "SampleStore",
-    "StoreBackend",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",

@@ -241,17 +241,6 @@ class Scenario:
                 )
         return out
 
-    def evaluate_checks(self, metrics: Mapping[str, float]) -> dict[str, bool]:
-        """Evaluate every shape check against a metrics mapping.
-
-        Boolean view of :meth:`check_outcomes`: a check that raises (a
-        missing metric, a division by zero on a degenerate aggregate, …)
-        counts as failed rather than propagating."""
-        return {
-            name: outcome.passed
-            for name, outcome in self.check_outcomes(metrics).items()
-        }
-
 
 @dataclass(frozen=True)
 class _Record:

@@ -52,7 +52,7 @@ from repro.experiments.registry import (
     is_registered,
     kernel_ids,
 )
-from repro.experiments.store import SampleStore, StoreBackend
+from repro.experiments.store import SampleStore
 from repro.sim.replication import map_seed_chunks
 from repro.sim.sequential import PrecisionTarget, run_sequential_replications
 from repro.utils.rng import spawn_seed_sequences
@@ -274,7 +274,7 @@ def run_scenario(
     target_precision: PrecisionTarget | float | None = None,
     min_reps: int | None = None,
     max_reps: int | None = None,
-    cache_dir: str | os.PathLike | StoreBackend | None = None,
+    cache_dir: str | os.PathLike | SampleStore | None = None,
 ) -> ScenarioResult:
     """Run one scenario for a fixed or adaptively chosen replication count.
 
@@ -361,9 +361,7 @@ def run_scenario(
                 "never be reused; pass an integer seed to use cache_dir"
             )
         store = (
-            SampleStore(cache_dir)
-            if isinstance(cache_dir, (str, os.PathLike))
-            else cache_dir  # any StoreBackend (SampleStore, MemoryStore, …)
+            cache_dir if isinstance(cache_dir, SampleStore) else SampleStore(cache_dir)
         )
     # Registered scenarios ship only their id (workers re-resolve it, which
     # survives the spawn start method); ad-hoc Scenario objects ship their

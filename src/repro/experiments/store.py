@@ -37,20 +37,8 @@ corrupt file.
 Each entry is one ``.npz`` file holding the ``(n, n_metrics)`` float
 matrix, a boolean presence mask (metrics reported by only some
 replications), and a JSON metadata blob.  Writes are atomic
-(temp file + ``os.replace``) and monotone: an entry is only replaced by
-one with strictly more replications.
-
-Pluggable backends
-------------------
-:class:`SampleStore` is the on-disk reference implementation of the
-:class:`StoreBackend` protocol — the five-method contract (``payload`` /
-``key`` / ``load`` / ``length`` / ``save``) every layer above codes
-against.  The runner accepts any backend object for ``cache_dir``, the
-serving daemon (:mod:`repro.serve`) shares one backend across all of its
-workers, and :class:`MemoryStore` is a process-local dict-backed backend
-with identical monotone/prefix semantics — the conformance suite in
-``tests/test_store.py`` is parametrized over backends so a future remote
-implementation plugs into the same tests.
+(:func:`~repro.utils.serialization.atomic_write`) and monotone: an entry
+is only replaced by one with strictly more replications.
 """
 
 from __future__ import annotations
@@ -58,19 +46,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.utils.rng import as_seed_sequence
-from repro.utils.serialization import canonical_json, jsonable
+from repro.utils.serialization import atomic_write, canonical_json, jsonable
 
 __all__ = [
-    "MemoryStore",
     "SampleStore",
-    "StoreBackend",
     "STORE_SCHEMA",
     "store_key",
     "store_payload",
@@ -104,12 +89,7 @@ def store_payload(
     params: Mapping[str, Any],
     seed: int | np.random.SeedSequence,
 ) -> dict[str, Any]:
-    """The identity a cache entry is keyed on (and verified against).
-
-    Shared by every :class:`StoreBackend` implementation so the content
-    address is backend-independent: samples written through one backend
-    are addressable through any other pointed at the same data.
-    """
+    """The identity a cache entry is keyed on (and verified against)."""
     if seed is None:
         raise ValueError(
             "seed=None draws fresh OS entropy and has no stable cache "
@@ -137,77 +117,6 @@ def store_key(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """The contract a sample-store backend implements.
-
-    Implementations key per-replication sample rows on the canonical
-    ``(pack@version, scenario_id, params, root seed)`` identity of
-    :func:`store_payload` and obey three semantic rules the layers above
-    rely on:
-
-    * **prefix** — ``load`` returns rows in replication order, so a
-      caller needing ``n`` rows uses the first ``n`` and simulates only
-      the remainder;
-    * **monotone** — ``save`` never shrinks an entry: an existing entry
-      with at least as many rows is kept;
-    * **degrade to miss** — an unreadable, corrupt, or
-      identity-mismatched entry loads as ``None`` (and counts 0 in
-      ``length``), never as wrong samples.
-
-    :class:`SampleStore` (on-disk ``.npz``, the default) and
-    :class:`MemoryStore` (process-local) both satisfy the protocol; the
-    runner's ``cache_dir`` and the serving daemon accept any
-    implementation.
-    """
-
-    def payload(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> dict[str, Any]:
-        """The identity an entry is keyed on (and verified against)."""
-        ...
-
-    def key(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> str:
-        """Content address (hex digest) for one experiment identity."""
-        ...
-
-    def load(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> list[dict[str, float]] | None:
-        """All cached replication rows for this identity, or ``None``."""
-        ...
-
-    def length(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> int:
-        """Cached replication count for this identity (0 when absent)."""
-        ...
-
-    def save(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-        rows: Sequence[Mapping[str, float]],
-    ) -> bool:
-        """Persist the full row list; returns whether a write happened."""
-        ...
-
-
 class SampleStore:
     """A directory of per-replication sample matrices, content-addressed
     by ``(scenario_id, canonical params, root seed)``.
@@ -220,15 +129,6 @@ class SampleStore:
         self.root = Path(root)
 
     # -- keying ----------------------------------------------------------
-
-    def payload(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> dict[str, Any]:
-        """The identity a cache entry is keyed on (and verified against)."""
-        return store_payload(scenario_id, params, seed)
 
     def key(
         self,
@@ -273,7 +173,7 @@ class SampleStore:
             # missing file, truncated zip, bad JSON, wrong dtypes … —
             # every unreadable entry is just a cache miss
             return None
-        if meta.get("payload") != self.payload(scenario_id, params, seed):
+        if meta.get("payload") != store_payload(scenario_id, params, seed):
             return None
         names = meta.get("names", [])
         if matrix.shape != mask.shape or matrix.ndim != 2 or matrix.shape[1] != len(
@@ -300,7 +200,7 @@ class SampleStore:
         Reads only the entry's metadata member — no matrix decode — so
         sweep tooling can cheaply report how much of a parameter grid is
         already served by the store."""
-        payload = self.payload(scenario_id, params, seed)
+        payload = store_payload(scenario_id, params, seed)
         return self._entry_length(self.path(scenario_id, params, seed), payload)
 
     @staticmethod
@@ -332,10 +232,9 @@ class SampleStore:
         """
         if not rows:
             return False
-        payload = self.payload(scenario_id, params, seed)
-        if self._entry_length(self.path(scenario_id, params, seed), payload) >= len(
-            rows
-        ):
+        payload = store_payload(scenario_id, params, seed)
+        path = self.path(scenario_id, params, seed)
+        if self._entry_length(path, payload) >= len(rows):
             return False
         names = sorted({k for row in rows for k in row})
         matrix = np.full((len(rows), len(names)), np.nan)
@@ -350,104 +249,7 @@ class SampleStore:
             "names": names,
             "n": len(rows),
         }
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".npz"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    matrix=matrix,
-                    mask=mask,
-                    meta=np.array(json.dumps(meta)),
-                )
-            os.replace(tmp, self.path(scenario_id, params, seed))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as fh:
+            np.savez(fh, matrix=matrix, mask=mask, meta=np.array(json.dumps(meta)))
         return True
 
-
-class MemoryStore:
-    """A process-local, dict-backed :class:`StoreBackend`.
-
-    Same identity scheme and monotone/prefix semantics as
-    :class:`SampleStore`, with entries held in memory: the natural
-    backend for tests, for short-lived daemons that should not touch
-    disk, and as the protocol-conformance counterpart proving the layers
-    above never depend on ``SampleStore`` specifics.  Rows are copied on
-    both save and load, so callers can never mutate a cached entry in
-    place.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[dict[str, Any], list[dict[str, float]]]] = {}
-
-    def payload(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> dict[str, Any]:
-        """The identity a cache entry is keyed on (and verified against)."""
-        return store_payload(scenario_id, params, seed)
-
-    def key(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> str:
-        """Content address (hex digest) for one experiment identity."""
-        return store_key(scenario_id, params, seed)
-
-    def load(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> list[dict[str, float]] | None:
-        """All cached replication rows for this identity, or ``None``."""
-        entry = self._entries.get(self.key(scenario_id, params, seed))
-        if entry is None:
-            return None
-        payload, rows = entry
-        if payload != self.payload(scenario_id, params, seed):
-            return None
-        return [dict(row) for row in rows]
-
-    def length(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-    ) -> int:
-        """Cached replication count for this identity (0 when absent)."""
-        entry = self._entries.get(self.key(scenario_id, params, seed))
-        if entry is None or entry[0] != self.payload(scenario_id, params, seed):
-            return 0
-        return len(entry[1])
-
-    def save(
-        self,
-        scenario_id: str,
-        params: Mapping[str, Any],
-        seed: int | np.random.SeedSequence,
-        rows: Sequence[Mapping[str, float]],
-    ) -> bool:
-        """Persist ``rows`` (monotone: a shorter list never replaces a
-        longer cached entry); returns whether a write happened."""
-        if not rows:
-            return False
-        payload = self.payload(scenario_id, params, seed)
-        if self.length(scenario_id, params, seed) >= len(rows):
-            return False
-        self._entries[self.key(scenario_id, params, seed)] = (
-            payload,
-            [{k: float(v) for k, v in row.items()} for row in rows],
-        )
-        return True

@@ -59,7 +59,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.runner import BACKENDS, ScenarioResult, run_scenario
-from repro.experiments.store import SampleStore, StoreBackend
+from repro.experiments.store import SampleStore
 from repro.sim.sequential import (
     DEFAULT_MAX_REPS,
     DEFAULT_MIN_REPS,
@@ -465,7 +465,7 @@ def run_sweep(
     target_precision: PrecisionTarget | float | None = None,
     min_reps: int | None = None,
     max_reps: int | None = None,
-    cache_dir: str | os.PathLike | StoreBackend | None = None,
+    cache_dir: str | os.PathLike | SampleStore | None = None,
     where: Mapping[str, Any] | None = None,
     progress: Callable[[SweepPoint, ScenarioResult], None] | None = None,
 ) -> SweepResult:

@@ -19,8 +19,8 @@ Keying:
   cycles, registration) can change when *any* file changes.
 
 The cache file is written atomically — serialize next to the target and
-``os.replace`` into place, the same convention as
-:mod:`repro.bench.record` — and is pruned to the current run's file set
+``os.replace`` into place, the convention of
+:func:`repro.utils.serialization.atomic_write` — and is pruned to the current run's file set
 so it cannot grow without bound.  A missing, corrupt, or
 wrong-fingerprint cache silently degrades to a cold run: the cache can
 make a run faster, never different.
@@ -47,8 +47,10 @@ DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 
 
 def _canonical_json(payload: object) -> str:
-    # repro.utils.serialization.canonical_json imports numpy; the linter
-    # must stay stdlib-only, so the same convention is restated here.
+    # repro.utils.serialization imports numpy; the linter must stay
+    # stdlib-only (tests/test_import_budget.py), so its two conventions are
+    # restated in this module: canonical_json here and atomic_write in
+    # LintCache.store.
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -148,7 +150,7 @@ class LintCache:
         """Atomically persist this run's results, pruned to its file set.
 
         Serialize next to the target and ``os.replace`` into place (the
-        :mod:`repro.bench.record` convention), so a crashed run can never
+        :func:`~repro.utils.serialization.atomic_write` convention), so a crashed run can never
         leave a half-written cache behind.  Failure to write is silent —
         caching is an optimization, not an output.
         """

@@ -12,7 +12,7 @@ directly on asyncio streams, no ``http.server`` — and the daemon:
   from observed per-replication wall times and adaptive-precision history;
 * **dedupes** identical ``(pack@version, scenario, params, seed)`` work
   across concurrent clients: an in-flight table serialises simulations of
-  the same store identity, and the shared :class:`StoreBackend` serves
+  the same store identity, and the shared :class:`SampleStore` serves
   every later request for that identity from cache — each distinct point
   is simulated exactly once, ever;
 * **streams** per-point results as they complete (NDJSON over
@@ -49,7 +49,6 @@ import asyncio
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -59,7 +58,7 @@ import repro
 from repro.experiments.registry import get_scenario
 from repro.experiments.report import canonical_sweep_document, sweep_to_json
 from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.experiments.store import SampleStore, StoreBackend
+from repro.experiments.store import SampleStore
 from repro.experiments.sweeps import SweepPoint, SweepResult, sweep_run_config
 from repro.serve.jobs import (
     SUBMIT_SCHEMA,
@@ -68,14 +67,15 @@ from repro.serve.jobs import (
     SubmissionError,
     parse_submission,
 )
-from repro.utils.serialization import canonical_json, jsonable
+from repro.utils.serialization import atomic_write, canonical_json, jsonable
 
 __all__ = ["Job", "SweepServer"]
 
 _FINAL_STATES = ("done", "failed")
 
-# request-size guards: a submission is a small JSON document
-_MAX_LINE = 64 * 1024
+# request-size guards: a submission is a small JSON document (a request
+# or header line longer than the stream's 64 KiB limit is refused too)
+_MAX_HEADERS = 100
 _MAX_BODY = 16 * 1024 * 1024
 
 _REASONS = {
@@ -88,21 +88,8 @@ _REASONS = {
 }
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp file + ``os.replace`` (the
-    ``repro.bench.record`` convention: a crash never leaves a torn file)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+class _BadRequest(Exception):
+    """A request the HTTP parser cannot accept; answered with a 400."""
 
 
 class Job:
@@ -166,9 +153,8 @@ class SweepServer:
     Parameters
     ----------
     store:
-        The shared sample cache: a directory path (wrapped in the default
-        on-disk :class:`SampleStore`) or any :class:`StoreBackend` — many
-        workers, one cache.
+        The shared sample cache: a directory path or a
+        :class:`SampleStore` — many workers, one cache.
     spool_dir:
         Where submissions, finished documents, and the cost-model history
         persist; ``None`` disables persistence (a purely in-memory
@@ -192,16 +178,14 @@ class SweepServer:
     def __init__(
         self,
         *,
-        store: str | os.PathLike | StoreBackend,
+        store: str | os.PathLike | SampleStore,
         spool_dir: str | os.PathLike | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 1,
         point_hook: Callable[[Job, SweepPoint, ScenarioResult], None] | None = None,
     ) -> None:
-        self.store: StoreBackend = (
-            SampleStore(store) if isinstance(store, (str, os.PathLike)) else store
-        )
+        self.store = store if isinstance(store, SampleStore) else SampleStore(store)
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.host = host
         self.port = port if port else None  # bound port, set once serving
@@ -359,15 +343,8 @@ class SweepServer:
                 partial(
                     run_scenario,
                     point.scenario_id,
-                    replications=run["replications"],
-                    seed=run["seed"],
-                    workers=run["workers"],
+                    **run,
                     params=point.overrides,
-                    level=run["level"],
-                    backend=run["backend"],
-                    target_precision=run["target_precision"],
-                    min_reps=run["min_reps"],
-                    max_reps=run["max_reps"],
                     cache_dir=self.store,
                 ),
             )
@@ -451,7 +428,6 @@ class SweepServer:
         same request, byte for byte.
         """
         results = tuple(job.results[p.index] for p in job.points)
-        run = job.submission.run
         sweep = SweepResult(
             spec=job.submission.spec,
             points=job.points,
@@ -460,15 +436,8 @@ class SweepServer:
             where={},
         )
         config = sweep_run_config(
-            replications=run["replications"],
-            seed=run["seed"],
-            workers=run["workers"],
-            backend=run["backend"],
+            **job.submission.run,
             resolved_backends=[r.backend for r in results],
-            level=run["level"],
-            target_precision=run["target_precision"],
-            min_reps=run["min_reps"],
-            max_reps=run["max_reps"],
             cache_dir=self.store,
         )
         document = canonical_sweep_document(sweep.to_document(config=config))
@@ -487,23 +456,20 @@ class SweepServer:
     def _persist_submission(self, job: Job) -> None:
         if self.spool_dir is None:
             return
-        _atomic_write(
-            self._submission_path(job.job_id),
-            canonical_json(job.submission.to_dict()).encode("utf-8"),
-        )
+        with atomic_write(self._submission_path(job.job_id)) as fh:
+            fh.write(canonical_json(job.submission.to_dict()).encode("utf-8"))
 
     def _persist_document(self, job: Job) -> None:
         if self.spool_dir is None or job.document is None:
             return
-        _atomic_write(self._document_path(job.job_id), job.document)
+        with atomic_write(self._document_path(job.job_id)) as fh:
+            fh.write(job.document)
 
     def _save_cost(self) -> None:
         if self.spool_dir is None:
             return
-        _atomic_write(
-            self.spool_dir / "cost.json",
-            canonical_json(self._cost.to_dict()).encode("utf-8"),
-        )
+        with atomic_write(self.spool_dir / "cost.json") as fh:
+            fh.write(canonical_json(self._cost.to_dict()).encode("utf-8"))
 
     def _load_spool(self) -> None:
         """Restore cost history and jobs from the spool directory.
@@ -559,7 +525,11 @@ class SweepServer:
     ) -> None:
         """One connection: parse a single request, route it, close."""
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _BadRequest as exc:
+                await self._send_error(writer, 400, "bad-request", str(exc))
+                return
             if request is not None:
                 await self._route(*request, writer)
         except (
@@ -578,28 +548,43 @@ class SweepServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.x request: (method, path, headers, body)."""
+        """Parse one HTTP/1.x request: (method, path, headers, body).
+
+        Returns ``None`` when the client closes before sending a request
+        line, and raises :class:`_BadRequest` for anything malformed or
+        over the size guards.
+        """
         try:
             line = await reader.readuntil(b"\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except asyncio.IncompleteReadError:
             return None
-        parts = line.decode("latin-1").strip().split()
+        except asyncio.LimitOverrunError:
+            raise _BadRequest("request line too long") from None
+        parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            return None
+            raise _BadRequest("malformed request line")
         method, target, _version = parts
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readuntil(b"\r\n")
-            if len(headers) > 100 or len(line) > _MAX_LINE:
-                return None
+            try:
+                line = await reader.readuntil(b"\r\n")
+            except asyncio.LimitOverrunError:
+                raise _BadRequest("header line too long") from None
             text = line.decode("latin-1").strip()
             if not text:
                 break
+            if len(headers) >= _MAX_HEADERS:
+                raise _BadRequest(f"more than {_MAX_HEADERS} header lines")
             name, _, value = text.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if not 0 <= length <= _MAX_BODY:
-            return None
+        raw = headers.get("content-length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        length = int(raw)
+        if length > _MAX_BODY:
+            raise _BadRequest(f"body of {length} bytes exceeds {_MAX_BODY}")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 

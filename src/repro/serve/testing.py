@@ -18,7 +18,7 @@ import os
 import threading
 from typing import Any, Callable
 
-from repro.experiments.store import StoreBackend
+from repro.experiments.store import SampleStore
 from repro.serve.client import ServeClient
 from repro.serve.daemon import SweepServer
 
@@ -37,7 +37,7 @@ class ServerHarness:
     def __init__(
         self,
         *,
-        store: str | os.PathLike | StoreBackend,
+        store: str | os.PathLike | SampleStore,
         spool_dir: str | os.PathLike | None = None,
         workers: int = 1,
         point_hook: Callable[..., Any] | None = None,

@@ -160,28 +160,13 @@ def map_seed_chunks(
         return [row for f in futures for row in f.result()]
 
 
-def _run_batch_chunk(
-    batch: Callable[[Sequence[np.random.SeedSequence]], Sequence[float]],
-    seed_sequences: Sequence[np.random.SeedSequence],
-) -> list[float]:
-    """Worker body for batched experiments: one call per seed chunk."""
-    out = [float(x) for x in batch(seed_sequences)]
-    if len(out) != len(seed_sequences):
-        raise RuntimeError(
-            f"batch experiment returned {len(out)} values for "
-            f"{len(seed_sequences)} seeds"
-        )
-    return out
-
-
 def run_replications_parallel(
-    experiment: Callable[[np.random.Generator], float] | None,
+    experiment: Callable[[np.random.Generator], float],
     n_replications: int,
     *,
     seed: int | None = None,
     level: float = 0.95,
     workers: int | None = None,
-    batch: Callable[[Sequence[np.random.SeedSequence]], Sequence[float]] | None = None,
 ) -> ReplicationResult:
     """Multiprocess version of :func:`run_replications`.
 
@@ -193,22 +178,11 @@ def run_replications_parallel(
 
     ``experiment`` must be picklable (a module-level function).  With
     ``workers=1`` the call degrades to the serial path, lambdas and all.
-
-    Alternatively pass ``batch`` — a vectorized backend mapping a list of
-    seed sequences to the per-replication values in order (replication
-    ``i`` must consume only streams derived from seed ``i``, so chunking
-    cannot change results).  Exactly one of ``experiment``/``batch`` must
-    be given.
     """
     if n_replications < 1:
         raise ValueError("need at least one replication")
-    if (experiment is None) == (batch is None):
-        raise ValueError("pass exactly one of experiment or batch")
     seeds = spawn_seed_sequences(seed, n_replications)
-    if batch is not None:
-        rows = map_seed_chunks(_run_batch_chunk, batch, seeds, workers=workers)
-    else:
-        rows = map_seed_chunks(_run_chunk, experiment, seeds, workers=workers)
+    rows = map_seed_chunks(_run_chunk, experiment, seeds, workers=workers)
     return _result_from_samples(np.array(rows), level)
 
 

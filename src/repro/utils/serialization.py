@@ -11,16 +11,22 @@ Two closely related needs share this module:
 
 :func:`jsonable` handles the first, :func:`canonical_json` layers the
 canonical encoding (sorted keys, no whitespace) on top for the second.
+:func:`atomic_write` is the one temp-file + ``os.replace`` writer behind
+sample-store entries, the daemon's spool files and bench trajectories.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+import os
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, BinaryIO, Iterator, Mapping
 
 import numpy as np
 
-__all__ = ["jsonable", "canonical_json"]
+__all__ = ["jsonable", "canonical_json", "atomic_write"]
 
 
 def jsonable(value: Any) -> Any:
@@ -56,3 +62,28 @@ def canonical_json(value: Any) -> str:
     return json.dumps(
         jsonable(value), sort_keys=True, separators=(",", ":"), allow_nan=True
     )
+
+
+@contextmanager
+def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Yield a binary temp file beside ``path`` that replaces ``path`` on
+    a clean exit.
+
+    The parent directory is created if needed.  The temp file is moved
+    into place with one ``os.replace``, so readers see either the old
+    file or the new one, never a torn write; if the block raises, the
+    temp file is removed and ``path`` is left untouched.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -28,7 +28,7 @@ from repro.experiments import (
     scenario_ids,
 )
 from repro.experiments.cli import main as cli_main
-from repro.experiments.store import SampleStore
+from repro.experiments.store import SampleStore, store_payload
 from repro.experiments.sweep_cli import main as sweep_main
 from repro.experiments.registry import get_kernel
 from repro.utils.schema import schema_errors, validate_schema
@@ -245,13 +245,13 @@ def test_store_roundtrip_with_pack_keyed_payload(tmp_path):
     assert store.save("E1", {}, 7, rows)
     loaded = store.load("E1", {}, 7)
     assert loaded is not None
-    payload = store.payload("E1", {}, 7)
+    payload = store_payload("E1", {}, 7)
     assert payload["pack"] == {"name": "flowshop-batch", "version": "1.0.0"}
     assert "version" not in payload  # the old package-version key is gone
 
 
 # ---------------------------------------------------------------------------
-# check crashes are failures, not aborts (the evaluate_checks bugfix)
+# check crashes are failures, not aborts
 # ---------------------------------------------------------------------------
 
 _CRASHY = Scenario(

@@ -13,6 +13,7 @@ states — and byte-identical to what one-shot
 ``repro-sweep run --canonical`` writes for the same request.
 """
 
+import tempfile
 import threading
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.runner as runner_mod
-from repro.experiments import MemoryStore
 from repro.experiments.sweep_cli import main as sweep_main
 from repro.serve import ServerHarness, parse_submission
 
@@ -102,8 +102,11 @@ def test_concurrent_overlapping_submissions_simulate_each_point_once(batches):
         for m in {m for ms, _ in batches for m in ms}
     )
     with _SimulateCounter() as counter:
-        # fresh in-memory store per example: examples must not share cache
-        with ServerHarness(store=MemoryStore(), workers=4) as harness:
+        # fresh store per example: examples must not share cache (tmp_path
+        # is shared by every example of one hypothesis test)
+        with tempfile.TemporaryDirectory() as store, ServerHarness(
+            store=store, workers=4
+        ) as harness:
             results: list[dict] = [None] * len(batches)
 
             def submit(i, sub):
@@ -128,7 +131,7 @@ def test_concurrent_overlapping_submissions_simulate_each_point_once(batches):
 def test_identical_resubmission_simulates_nothing(tmp_path):
     sub = submission([2, 3])
     with _SimulateCounter() as counter:
-        with ServerHarness(store=MemoryStore()) as harness:
+        with ServerHarness(store=tmp_path / "store") as harness:
             client = harness.client()
             first = client.submit(sub)
             assert first["created"] is True
@@ -152,10 +155,11 @@ def test_documents_byte_identical_across_submission_orders(tmp_path):
     job_ids = [parse_submission(s).job_id for s in subs]
     served: dict[str, set[bytes]] = {job_id: set() for job_id in job_ids}
 
-    for order in (list(zip(job_ids, subs)), list(zip(job_ids, subs))[::-1]):
+    orders = (list(zip(job_ids, subs)), list(zip(job_ids, subs))[::-1])
+    for i, order in enumerate(orders):
         # a fresh daemon and store per order: cold cache vs execution
         # order must not be distinguishable from the served bytes
-        with ServerHarness(store=MemoryStore(), workers=3) as harness:
+        with ServerHarness(store=tmp_path / f"store{i}", workers=3) as harness:
             client = harness.client()
             for job_id, sub in order:
                 assert client.submit(sub)["job_id"] == job_id

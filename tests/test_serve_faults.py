@@ -230,6 +230,50 @@ def test_invalid_submissions_get_structured_errors(tmp_path):
         assert client.jobs() == []
 
 
+_MALFORMED_REQUESTS = {
+    "non-numeric-length": (
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}"
+    ),
+    "header-over-stream-limit": (
+        b"GET /v1/health HTTP/1.1\r\nX-Junk: " + b"a" * 70_000 + b"\r\n\r\n"
+    ),
+    "negative-length": (
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+    ),
+    "garbage-request-line": b"GARBAGE\r\n\r\n",
+    "body-over-limit": (
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n"
+    ),
+}
+
+
+def _raw_exchange(host, port, request):
+    """Send ``request`` on a fresh socket; return everything the daemon
+    writes back before it closes the connection."""
+    import socket
+
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_REQUESTS))
+def test_malformed_http_requests_get_a_structured_400(tmp_path, caplog, case):
+    with caplog.at_level("ERROR"), ServerHarness(store=tmp_path / "store") as h:
+        reply = _raw_exchange(h.server.host, h.server.port,
+                              _MALFORMED_REQUESTS[case])
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad-request"
+        assert error["message"]
+        assert h.client().health()["status"] == "ok"  # daemon still serves
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+
+
 def test_serve_submit_cli_exits_2_on_invalid_submission(tmp_path, capsys):
     with ServerHarness(store=tmp_path / "store") as h:
         rc = serve_main(

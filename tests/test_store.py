@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.experiments import MemoryStore, Scenario, SampleStore, run_scenario
-from repro.experiments.store import (
-    STORE_SCHEMA,
-    StoreBackend,
-    store_key,
-    store_payload,
-)
+from repro.experiments import Scenario, SampleStore, run_scenario
+from repro.experiments.store import STORE_SCHEMA, store_key, store_payload
 
 
 ROWS = [
@@ -70,9 +65,8 @@ def test_numpy_scalars_normalise_to_python_scalars(tmp_path):
     assert store.key("E1", {"p": np.int64(3)}, 0) == store.key("E1", {"p": 3}, 0)
 
 
-def test_schema_version_and_pack_are_part_of_the_key(tmp_path):
-    store = SampleStore(tmp_path)
-    payload = store.payload("E1", {"p": 1}, 0)
+def test_schema_version_and_pack_are_part_of_the_key():
+    payload = store_payload("E1", {"p": 1}, 0)
     assert payload["store_schema"] == STORE_SCHEMA
     assert payload["pack"] == {"name": "flowshop-batch", "version": "1.0.0"}
 
@@ -255,48 +249,20 @@ def test_runner_accepts_a_store_instance(tmp_path, count_simulated):
 
 
 # ---------------------------------------------------------------------------
-# StoreBackend protocol conformance, parametrized over every backend
+# store conformance: the prefix / monotone / degrade-to-miss rules
 # ---------------------------------------------------------------------------
 
 
-def _corrupt_sample(store, scenario_id, params, seed):
-    store.path(scenario_id, params, seed).write_bytes(b"not a zip archive")
-
-
-def _corrupt_memory(store, scenario_id, params, seed):
-    key = store.key(scenario_id, params, seed)
-    payload, rows = store._entries[key]
-    store._entries[key] = ({**payload, "scenario_id": "TAMPERED"}, rows)
-
-
-# backend name -> (factory(tmp_path), corrupt(store, scenario, params, seed));
-# every backend must pass every conformance test below unchanged
-BACKENDS = {
-    "sample": (lambda tmp_path: SampleStore(tmp_path / "disk"), _corrupt_sample),
-    "memory": (lambda tmp_path: MemoryStore(), _corrupt_memory),
-}
-
-
-@pytest.fixture(params=sorted(BACKENDS))
-def backend(request, tmp_path):
-    factory, _ = BACKENDS[request.param]
-    return factory(tmp_path)
-
-
-@pytest.fixture(params=sorted(BACKENDS))
-def backend_with_corruptor(request, tmp_path):
-    factory, corrupt = BACKENDS[request.param]
-    return factory(tmp_path), corrupt
-
-
-def test_backend_satisfies_the_runtime_protocol(backend):
-    assert isinstance(backend, StoreBackend)
+@pytest.fixture(params=["sample"])
+def backend(tmp_path):
+    # a store whose directory does not exist yet (created on first save)
+    return SampleStore(tmp_path / "disk")
 
 
 def test_backend_keying_matches_the_module_functions(backend):
-    # every backend addresses the same shared identity space
+    # the store addresses entries by the module-level identity
     assert backend.key("E1", {"p": 1}, 0) == store_key("E1", {"p": 1}, 0)
-    assert backend.payload("E1", {"p": 1}, 0) == store_payload("E1", {"p": 1}, 0)
+    assert backend.path("E1", {"p": 1}, 0).stem == store_key("E1", {"p": 1}, 0)
 
 
 def test_backend_round_trip(backend):
@@ -331,10 +297,9 @@ def test_backend_load_copies_are_isolated(backend):
     assert backend.load("E1", {}, 0)[0]["a"] == 1.0
 
 
-def test_backend_corrupt_entry_degrades_to_miss(backend_with_corruptor):
-    backend, corrupt = backend_with_corruptor
+def test_backend_corrupt_entry_degrades_to_miss(backend):
     backend.save("E1", {}, 0, ROWS)
-    corrupt(backend, "E1", {}, 0)
+    backend.path("E1", {}, 0).write_bytes(b"not a zip archive")
     assert backend.load("E1", {}, 0) is None
     assert backend.length("E1", {}, 0) == 0
 
