@@ -45,17 +45,26 @@ def expected_weighted_flowtime(jobs: Sequence[Job], sequence: Sequence[int]) -> 
 
 def brute_force_optimal_sequence(jobs: Sequence[Job]) -> tuple[list[int], float]:
     """Exhaustive search over all n! sequences; returns (best sequence, its
-    expected weighted flowtime). Ground truth for small n (E1)."""
+    expected weighted flowtime). Ground truth for small n (E1).
+
+    Each sequence is scored with the arithmetic of
+    :func:`expected_weighted_flowtime` on ``(id, mean, weight)`` triples
+    read once, and the first minimum in permutation order wins."""
     if len(jobs) > 10:
         raise ValueError("brute force is limited to n <= 10 jobs")
+    if len({j.id for j in jobs}) != len(jobs):
+        raise ValueError("job ids must be unique")
     best_seq: list[int] | None = None
     best_val = np.inf
-    ids = [j.id for j in jobs]
-    for perm in itertools.permutations(ids):
-        val = expected_weighted_flowtime(jobs, perm)
+    for perm in itertools.permutations([(j.id, j.mean, j.weight) for j in jobs]):
+        t = 0.0
+        val = 0.0
+        for _, p, w in perm:
+            t += p
+            val += w * t
         if val < best_val:
             best_val = val
-            best_seq = list(perm)
+            best_seq = [jid for jid, _, _ in perm]
     assert best_seq is not None
     return best_seq, float(best_val)
 

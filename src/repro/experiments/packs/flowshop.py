@@ -628,8 +628,8 @@ def simulate_e18(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 @PACK.kernel(
     "E1",
     mode="batched",
-    note="brute force over all n! sequences evaluated as one (reps, perms, "
-    "jobs) cumsum instead of per-permutation Python loops",
+    note="brute force over all n! sequences as one prefix-tree walk on "
+    "(perms, reps) arrays instead of per-permutation Python loops",
 )
 def batch_e1(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``batched`` kernel for E1: runs all replications at once on arrays with a replication axis;

@@ -17,7 +17,10 @@ anchor is the Boxma–Groenendijk *pseudo-conservation law*, implemented in
 
 The simulator pre-generates per-queue Poisson arrival streams and walks the
 server sequentially — no event calendar needed for a single-server system,
-and the inner loop stays tight.
+and the inner loop stays tight. Per queue it keeps a ``ready`` time, the
+server time from which a visit there has work, so a visit that finds its
+queue empty costs its switchover and one comparison. With short
+switchovers most visits are of that kind.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ class PollingSystem:
 
         ``rng`` is consumed: with pre-drawn blocks it ends ahead of the
         last draw the run used, so do not draw further results from it.
+
+        A visit to queue ``i`` at server time ``t`` has work exactly when
+        ``ready[i] <= t``, where ``ready[i]`` is ``-inf`` while customers
+        wait there, the time of its next arrival otherwise, and ``inf``
+        once its stream is exhausted. Only such a visit runs the admission
+        and service body, which refreshes ``ready[i]`` at its end; any
+        other visit draws nothing and changes nothing, so it only adds its
+        switchover.
         """
         n = self.n_queues
         # Pre-generate arrival streams with margin; extend lazily if needed.
@@ -152,6 +163,8 @@ class PollingSystem:
         # replace a pending list
         admit_ptr = [0] * n
         serve_ptr = [0] * n
+        # the server time from which a visit to queue i has work
+        ready = [a[0] for a in arrivals]
         warmup = warmup_fraction * horizon
         waits = [0.0] * n
         served = [0] * n
@@ -163,6 +176,7 @@ class PollingSystem:
         gated = self.policy == "gated"
         limited = self.policy == "limited"
         h4 = horizon * 4
+        always_zero = self._switchover_always_zero
 
         while t < horizon:
             # switch into queue i
@@ -170,44 +184,47 @@ class PollingSystem:
                 t += sw_values[i]
             else:
                 t += float(self.switchovers[i].sample(rng))
-            ts = arrivals[i]
-            sz = sizes[i]
-            h = admit_ptr[i]
-            if h < sz and ts[h] <= t:
-                h = bisect_right(ts, t, h)
-            sp = serve_ptr[i]
-            if gated:
-                batch = h - sp
-            elif limited:
-                batch = 1 if h > sp else 0
-            else:
-                batch = -1  # exhaustive: until empty
-            sv = 0
-            while h > sp and (batch < 0 or sv < batch):
-                arr = ts[sp]
-                sp += 1
-                if t > warmup:
-                    waits[i] += t - arr
-                    served[i] += 1
-                if blocks:
-                    if bpos == _BLOCK:
-                        buf = std_exp(_BLOCK).tolist()
-                        bpos = 0
-                    t += svc_scales[i] * buf[bpos]
-                    bpos += 1
+            if ready[i] <= t:
+                ts = arrivals[i]
+                sz = sizes[i]
+                h = admit_ptr[i]
+                if h < sz and ts[h] <= t:
+                    h = bisect_right(ts, t, h)
+                sp = serve_ptr[i]
+                if gated:
+                    batch = h - sp
+                elif limited:
+                    batch = 1 if h > sp else 0
                 else:
-                    t += float(self.services[i].sample(rng))
-                sv += 1
-                while h < sz and ts[h] <= t:
-                    h += 1
-                if batch < 0 and t > h4:  # runaway guard
-                    raise RuntimeError("polling simulation diverged")
-            admit_ptr[i] = h
-            serve_ptr[i] = sp
-            i = (i + 1) % n
-            if i == 0:
+                    batch = -1  # exhaustive: until empty
+                sv = 0
+                while h > sp and (batch < 0 or sv < batch):
+                    arr = ts[sp]
+                    sp += 1
+                    if t > warmup:
+                        waits[i] += t - arr
+                        served[i] += 1
+                    if blocks:
+                        if bpos == _BLOCK:
+                            buf = std_exp(_BLOCK).tolist()
+                            bpos = 0
+                        t += svc_scales[i] * buf[bpos]
+                        bpos += 1
+                    else:
+                        t += float(self.services[i].sample(rng))
+                    sv += 1
+                    while h < sz and ts[h] <= t:
+                        h += 1
+                    if batch < 0 and t > h4:  # runaway guard
+                        raise RuntimeError("polling simulation diverged")
+                admit_ptr[i] = h
+                serve_ptr[i] = sp
+                ready[i] = -np.inf if h > sp else ts[h] if h < sz else np.inf
+            i += 1
+            if i == n:
+                i = 0
                 if (
-                    self._switchover_always_zero
+                    always_zero
                     and t == cycle_start
                     and not any(admit_ptr[j] > serve_ptr[j] for j in range(n))
                 ):

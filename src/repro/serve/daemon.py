@@ -77,12 +77,16 @@ _FINAL_STATES = ("done", "failed")
 # or header line longer than the stream's 64 KiB limit is refused too)
 _MAX_HEADERS = 100
 _MAX_BODY = 16 * 1024 * 1024
+# seconds a client gets to send its whole request (line, headers, body); a
+# stalled client is answered 408 and closed instead of holding its handler
+_REQUEST_TIMEOUT = 30.0
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     500: "Internal Server Error",
 }
@@ -98,8 +102,11 @@ class Job:
     ``results`` maps point index → :class:`ScenarioResult` as points
     complete (in *scheduling* order, which cost-based dispatch may
     permute freely — the finished document is assembled in point order,
-    so execution order can never leak into served bytes).  ``events`` is
-    the append-only NDJSON stream replayed to every subscriber.
+    so execution order can never leak into served bytes).  It is emptied
+    once the document is built, so the ``simulated`` and ``cached``
+    replication counts that :meth:`status` serves are kept as points are
+    recorded.  ``events`` is the append-only NDJSON stream replayed to
+    every subscriber.
     """
 
     def __init__(
@@ -110,6 +117,8 @@ class Job:
         self.seq = seq
         self.state = "queued"
         self.results: dict[int, ScenarioResult] = {}
+        self.simulated = 0
+        self.cached = 0
         self.events: list[dict[str, Any]] = []
         self.error: str | None = None
         self.document: bytes | None = None
@@ -129,19 +138,19 @@ class Job:
 
     def status(self) -> dict[str, Any]:
         """The JSON status document served for this job."""
-        completed = len(self.points) if self.restored else len(self.results)
-        simulated = sum(
-            r.n_replications - r.cached_replications for r in self.results.values()
+        # a job with a document (finished, or restored from the spool)
+        # has completed every point, whatever its results still hold
+        completed = (
+            len(self.points) if self.document is not None else len(self.results)
         )
-        cached = sum(r.cached_replications for r in self.results.values())
         return {
             "job_id": self.job_id,
             "state": self.state,
             "scenario_id": self.submission.spec.scenario_id,
             "n_points": len(self.points),
             "completed_points": completed,
-            "simulated_replications": simulated,
-            "cached_replications": cached,
+            "simulated_replications": self.simulated,
+            "cached_replications": self.cached,
             "restored": self.restored,
             "error": self.error,
         }
@@ -358,7 +367,8 @@ class SweepServer:
     ) -> None:
         """Fold a completed point into the job: cost history, the event
         stream (same ``(point, result)`` shape as ``run_sweep``'s
-        ``progress`` hook), and — on the last point — the document."""
+        ``progress`` hook), and — on the last point — the document, after
+        which the per-point results are released."""
         run = job.submission.run
         self._cost.observe(
             point.scenario_id,
@@ -371,9 +381,13 @@ class SweepServer:
             ),
         )
         job.results[point.index] = result
+        job.simulated += result.n_replications - result.cached_replications
+        job.cached += result.cached_replications
         await self._notify(job, self._point_event(job, point, result))
         if len(job.results) == len(job.points):
             job.document = self._document(job)
+            all_pass = all(r.all_checks_pass for r in job.results.values())
+            job.results.clear()
             self._persist_document(job)
             job.state = "done"
             self._save_cost()
@@ -383,9 +397,7 @@ class SweepServer:
                     "event": "done",
                     "job_id": job.job_id,
                     "n_points": len(job.points),
-                    "all_checks_pass": all(
-                        r.all_checks_pass for r in job.results.values()
-                    ),
+                    "all_checks_pass": all_pass,
                 },
             )
 
@@ -523,12 +535,23 @@ class SweepServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: parse a single request, route it, close."""
+        """One connection: parse a single request, route it, close.
+
+        Reading the request is bounded by ``_REQUEST_TIMEOUT``; routing
+        (and so an event stream) is not."""
         try:
             try:
-                request = await self._read_request(reader)
+                request = await asyncio.wait_for(
+                    self._read_request(reader), _REQUEST_TIMEOUT
+                )
             except _BadRequest as exc:
                 await self._send_error(writer, 400, "bad-request", str(exc))
+                return
+            except asyncio.TimeoutError:
+                await self._send_error(
+                    writer, 408, "request-timeout",
+                    f"request not received within {_REQUEST_TIMEOUT:g} s",
+                )
                 return
             if request is not None:
                 await self._route(*request, writer)

@@ -73,6 +73,7 @@ equivalence tests, so a platform where one failed would fail loudly):
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -129,26 +130,47 @@ def sequence_flowtime_batch(
 
 
 def min_flowtime_over_permutations(
-    means: np.ndarray, weights: np.ndarray, *, block: int = 720
+    means: np.ndarray, weights: np.ndarray, *, max_elements: int = 1 << 20
 ) -> np.ndarray:
     """Brute-force minimum expected weighted flowtime over all n!
     sequences, batched over replications.
 
     ``means``/``weights`` have shape ``(N, n)``; returns ``(N,)``.  The
-    permutation axis is processed in blocks to bound memory; the running
-    elementwise minimum is exact, so blocking cannot change the result.
+    sequences are walked as a prefix tree in ``itertools.permutations``
+    order: level ``k`` holds ``(t, total)`` for every distinct prefix of
+    length ``k + 1``, each prefix's row repeated once per child, then
+    ``t += p; total += w * t`` for the job each child appends.  These
+    are the float operations of
+    :func:`repro.batch.single_machine.expected_weighted_flowtime`, in its
+    order, while a prefix shared by many sequences is summed once.  The
+    sequences are processed in blocks (all completions of one prefix) of
+    at most ``max_elements`` values per array where possible; the
+    running elementwise minimum is exact, so blocking cannot change the
+    result.
     """
-    means = np.asarray(means, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n = means.shape[-1]
+    means_t = np.ascontiguousarray(np.asarray(means, dtype=float).T)
+    weights_t = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
+    n, N = means_t.shape
     perms = all_permutations(n)
-    best = np.full(means.shape[0], np.inf)
-    for lo in range(0, perms.shape[0], block):
-        chunk = perms[lo : lo + block]
-        vals = sequence_flowtime_batch(
-            means[:, None, :], weights[:, None, :], chunk[None, :, :]
-        )
-        best = np.minimum(best, vals.min(axis=1))
+    depth = 0
+    while depth < n and math.factorial(n - depth) * N > max_elements:
+        depth += 1
+    size = math.factorial(n - depth)
+    best = np.full(N, np.inf)
+    for lo in range(0, perms.shape[0], size):
+        block = perms[lo : lo + size]
+        t = np.zeros((1, N))
+        total = np.zeros((1, N))
+        for k in range(n):
+            # the job at position k of each distinct prefix of length k + 1
+            jobs = block[:: math.factorial(n - k - 1), k]
+            children = len(jobs) // len(t)
+            if children > 1:
+                t = np.repeat(t, children, axis=0)
+                total = np.repeat(total, children, axis=0)
+            t += means_t[jobs]
+            total += weights_t[jobs] * t
+        best = np.minimum(best, total.min(axis=0))
     return best
 
 

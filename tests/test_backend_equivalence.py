@@ -167,6 +167,28 @@ _PROPERTY_SETTINGS = settings(
 )
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("max_elements", [1 << 20, 50])
+def test_batched_brute_force_matches_the_event_path(n, max_elements):
+    # the batched prefix-tree minimum over all n! sequences is bitwise the
+    # event path's, with one block or with many small ones
+    from repro.batch import Job, brute_force_optimal_sequence
+    from repro.distributions import Deterministic
+    from repro.sim.vectorized import min_flowtime_over_permutations
+
+    rng = np.random.default_rng(n)
+    means = rng.uniform(0.1, 10.0, (3, n))
+    weights = rng.uniform(0.1, 5.0, (3, n))
+    expected = [
+        brute_force_optimal_sequence(
+            [Job(j, Deterministic(m), w) for j, (m, w) in enumerate(zip(ms, ws))]
+        )[1]
+        for ms, ws in zip(means, weights)
+    ]
+    got = min_flowtime_over_permutations(means, weights, max_elements=max_elements)
+    assert got.tolist() == expected
+
+
 @_PROPERTY_SETTINGS
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -251,15 +273,22 @@ def test_property_polling_engine_equivalence(seed, policy, horizon, data):
     # engine-level coverage beyond E15: Erlang services and exponential or
     # exactly-zero switchovers take the scalar-draw source, exponential
     # services with deterministic switchovers the pre-drawn blocks —
-    # PollingSystem.simulate must match the pending-list oracle either way
+    # PollingSystem.simulate must match the pending-list oracle either way.
+    # Two to four queues, one of which may never see an arrival, and
+    # switchovers up to 2.0, so that most visits find their queue empty.
     from queueing_oracles import oracle_polling_simulate
 
     from repro.distributions import Deterministic, Erlang, Exponential
     from repro.queueing import PollingSystem
 
-    lam = [data.draw(st.floats(0.05, 0.3), label=f"lam{i}") for i in range(2)]
+    n = data.draw(st.integers(2, 4), label="n_queues")
+    # rates up to 0.6 / n keep the load below 1/2 for every service drawn
+    lam = [data.draw(st.floats(0.05, 0.6 / n), label=f"lam{i}") for i in range(n)]
+    silent = data.draw(st.one_of(st.none(), st.integers(0, n - 1)), label="silent")
+    if silent is not None:
+        lam[silent] = 0.0
     services = []
-    for i in range(2):
+    for i in range(n):
         rate = data.draw(st.floats(1.2, 3.0), label=f"rate{i}")
         if data.draw(st.booleans(), label=f"erlang{i}"):
             services.append(Erlang(2, 2.0 * rate))
@@ -269,16 +298,16 @@ def test_property_polling_engine_equivalence(seed, policy, horizon, data):
     # bounded away from zero, or exponential
     kind = data.draw(st.sampled_from(["zero", "det", "exp"]), label="switchover")
     if kind == "zero":
-        switchovers = [Deterministic(0.0), Deterministic(0.0)]
+        switchovers = [Deterministic(0.0)] * n
     elif kind == "det":
         switchovers = [
-            Deterministic(data.draw(st.floats(0.02, 0.5), label=f"sw{i}"))
-            for i in range(2)
+            Deterministic(data.draw(st.floats(0.02, 2.0), label=f"sw{i}"))
+            for i in range(n)
         ]
     else:
         switchovers = [
             Exponential(data.draw(st.floats(2.0, 50.0), label=f"sw{i}"))
-            for i in range(2)
+            for i in range(n)
         ]
     system = PollingSystem(lam, services, switchovers, policy)
     rng_oracle, rng_engine = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -1,6 +1,8 @@
 """E1 core tests: WSEPT optimality on a single machine (Rothkopf/Smith),
 exact evaluation, brute force, and simulation consistency."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,33 @@ class TestWseptOptimality:
     def test_brute_force_size_guard(self):
         jobs = random_exponential_batch(11, np.random.default_rng(0))
         with pytest.raises(ValueError):
+            brute_force_optimal_sequence(jobs)
+
+    def test_brute_force_ties_return_the_first_permutation(self):
+        jobs = [Job(id=jid, distribution=Deterministic(1.5), weight=2.0)
+                for jid in (7, 3, 5, 1)]
+        seq, val = brute_force_optimal_sequence(jobs)
+        assert seq == [7, 3, 5, 1]
+        assert val == min(
+            expected_weighted_flowtime(jobs, perm)
+            for perm in itertools.permutations([7, 3, 5, 1])
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brute_force_is_the_first_minimum_over_every_sequence(self, seed):
+        jobs = random_exponential_batch(6, np.random.default_rng(seed))
+        vals = [
+            (expected_weighted_flowtime(jobs, perm), list(perm))
+            for perm in itertools.permutations([j.id for j in jobs])
+        ]
+        best = min(v for v, _ in vals)
+        assert brute_force_optimal_sequence(jobs) == (
+            next(seq for v, seq in vals if v == best), best)
+
+    def test_brute_force_rejects_duplicate_ids(self):
+        jobs = [Job(id=0, distribution=Exponential(1.0)),
+                Job(id=0, distribution=Exponential(2.0))]
+        with pytest.raises(ValueError, match="unique"):
             brute_force_optimal_sequence(jobs)
 
 

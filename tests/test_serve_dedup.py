@@ -145,6 +145,37 @@ def test_identical_resubmission_simulates_nothing(tmp_path):
     assert doc1 == doc2
 
 
+def test_done_job_releases_its_results_and_keeps_its_status_counts(tmp_path):
+    # the status counts of a done job must equal those summed over every
+    # per-point result, which the hook sees before the job lets them go
+    recorded: dict[str, list] = {}
+
+    def keep(job, point, result):
+        recorded.setdefault(job.job_id, []).append(result)
+
+    with ServerHarness(store=tmp_path / "store", point_hook=keep) as harness:
+        client = harness.client()
+        first = client.submit(submission([2, 3], reps=2))
+        client.fetch(first["job_id"], wait=True, timeout=60)
+        # overlaps the first grid with more replications: partly cached
+        second = client.submit(submission([2, 3, 4], reps=3))
+        client.fetch(second["job_id"], wait=True, timeout=60)
+        for job_id in (first["job_id"], second["job_id"]):
+            job = harness.server._jobs[job_id]
+            results = recorded[job_id]
+            status = client.status(job_id)
+            assert job.results == {}
+            assert status["completed_points"] == len(results) == len(job.points)
+            assert status["simulated_replications"] == sum(
+                r.n_replications - r.cached_replications for r in results
+            )
+            assert status["cached_replications"] == sum(
+                r.cached_replications for r in results
+            )
+    assert status["simulated_replications"] == 3 + 1 + 1
+    assert status["cached_replications"] == 2 + 2
+
+
 # ---------------------------------------------------------------------------
 # the determinism property
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ one failure mode and checks the serving contract survives it:
 * a client disconnecting mid-event-stream never affects the job — the
   document remains fetchable;
 * malformed or schema-invalid submissions are refused with a structured
-  error, and ``repro-serve submit`` exits 2 on them.
+  error, and ``repro-serve submit`` exits 2 on them;
+* a client that stalls mid-request is answered 408 and closed.
 
 Every fetched document is checked byte-identical to the one-shot
 ``repro-sweep run --canonical`` output for the same request — faults may
@@ -247,12 +248,13 @@ _MALFORMED_REQUESTS = {
 }
 
 
-def _raw_exchange(host, port, request):
+def _raw_exchange(host, port, request, timeout=30):
     """Send ``request`` on a fresh socket; return everything the daemon
-    writes back before it closes the connection."""
+    writes back before it closes the connection (a daemon that neither
+    answers nor closes within ``timeout`` seconds raises ``TimeoutError``)."""
     import socket
 
-    with socket.create_connection((host, port), timeout=30) as sock:
+    with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(request)
         chunks = []
         while chunk := sock.recv(65536):
@@ -269,6 +271,37 @@ def test_malformed_http_requests_get_a_structured_400(tmp_path, caplog, case):
         assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
         error = json.loads(body)["error"]
         assert error["code"] == "bad-request"
+        assert error["message"]
+        assert h.client().health()["status"] == "ok"  # daemon still serves
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+
+
+_STALLED_REQUESTS = {
+    "silent": b"",
+    "request-line-only": b"GET /v1/health HTTP/1.1\r\n",
+    "short-body": (
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"spec\":"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STALLED_REQUESTS))
+def test_stalled_http_requests_get_a_408(tmp_path, caplog, monkeypatch, case):
+    # a client that stops mid-request must not hold its handler forever;
+    # the client-side timeout turns a daemon that never answers into a
+    # failure rather than a hang
+    import repro.serve.daemon as daemon_mod
+
+    monkeypatch.setattr(daemon_mod, "_REQUEST_TIMEOUT", 0.2)
+    with caplog.at_level("ERROR"), ServerHarness(store=tmp_path / "store") as h:
+        started = time.monotonic()
+        reply = _raw_exchange(h.server.host, h.server.port,
+                              _STALLED_REQUESTS[case], timeout=10)
+        assert time.monotonic() - started < 5
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), reply[:200]
+        error = json.loads(body)["error"]
+        assert error["code"] == "request-timeout"
         assert error["message"]
         assert h.client().health()["status"] == "ok"  # daemon still serves
     assert not caplog.records, [r.getMessage() for r in caplog.records]
