@@ -6,7 +6,7 @@ conservation laws must all agree.
 Driven by the experiment registry: each replication simulates the cµ and
 worst priority orders under common random numbers and checks strong
 conservation on the simulated waits; the exact Cobham/polytope analysis
-is shared (the E10 kernel hoists it out of the replication loop).
+runs beside them in every replication.
 """
 
 from repro.experiments import get_scenario, run_scenario

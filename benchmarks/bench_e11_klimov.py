@@ -4,7 +4,7 @@ it reduces to cµ without feedback and beats cµ-with-feedback-ignored.
 
 Driven by the experiment registry: each replication simulates all six
 priority orders under common random numbers; the Klimov/cµ index analysis
-is shared (the E11 kernel hoists it out of the replication loop).
+runs beside them in every replication.
 """
 
 import numpy as np

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-Params = Mapping[str, Any]
-Seeds = Sequence[np.random.SeedSequence]
-
-__all__ = ["_crn_batches", "_float_rows"]
+__all__ = ["_float_rows"]
 
 
 def _float_rows(columns: Mapping[str, np.ndarray], n: int) -> list[dict[str, float]]:
@@ -25,9 +22,3 @@ def _float_rows(columns: Mapping[str, np.ndarray], n: int) -> list[dict[str, flo
         )
     return out
 
-
-def _crn_batches(seeds: Seeds, k: int) -> list[list[np.random.Generator]]:
-    """Per-case generator batches under common random numbers: case ``i``
-    gets one fresh ``default_rng(ss)`` per replication — exactly the
-    generators ``crn_generators(ss, k)`` hands the event path's ``zip``."""
-    return [[np.random.default_rng(ss) for ss in seeds] for _ in range(k)]

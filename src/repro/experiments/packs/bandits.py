@@ -64,6 +64,12 @@ PACK = ScenarioPack(
 )
 
 
+@PACK.kernel(
+    "E7",
+    mode="direct",
+    note="each replication's product-space policy iteration and index "
+    "computations depend on its own projects; nothing is shared to hoist",
+)
 @PACK.scenario(
     "E7",
     title="Gittins index rule vs exact product-space DP",
@@ -256,17 +262,6 @@ def _policy_values_batch(
     P_pi = T[rows, policies, cols]
     r_pi = R[rows, policies, cols]
     return np.linalg.solve(np.eye(S) - beta * P_pi, r_pi[..., None])[..., 0]
-
-
-@PACK.kernel(
-    "E7",
-    mode="direct",
-    note="each replication's product-space policy iteration and index "
-    "computations depend on its own projects; nothing is shared to hoist",
-)
-def direct_e7(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E7: runs ``simulate_e7`` per replication."""
-    return [simulate_e7(ss, params) for ss in seeds]
 
 
 @PACK.kernel(

@@ -170,6 +170,12 @@ def simulate_e1(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     }
 
 
+@PACK.kernel(
+    "E2",
+    mode="direct",
+    note="each replication's three preemptive DHR DPs dominate the run; the "
+    "memoryless half is too small a share to hoist",
+)
 @PACK.scenario(
     "E2",
     title="Sevcik/Gittins preemptive index vs nonpreemptive WSEPT",
@@ -429,6 +435,12 @@ def simulate_e6(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     }
 
 
+@PACK.kernel(
+    "E16",
+    mode="direct",
+    note="each replication's in-tree list-scheduling runs are sequential "
+    "policy decisions per completion epoch; nothing is shared to hoist",
+)
 @PACK.scenario(
     "E16",
     title="HLF asymptotic optimality under in-tree precedence",
@@ -686,17 +698,6 @@ def batch_e1(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     )
 
 
-@PACK.kernel(
-    "E2",
-    mode="direct",
-    note="each replication's three preemptive DHR DPs dominate the run; the "
-    "memoryless half is too small a share to hoist",
-)
-def direct_e2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E2: runs ``simulate_e2`` per replication."""
-    return [simulate_e2(ss, params) for ss in seeds]
-
-
 def _uniform_rates(seeds: Seeds, params: Params) -> np.ndarray:
     lo, hi = params["rate_range"]
     n = int(params["n_jobs"])
@@ -843,17 +844,6 @@ def batch_e18(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     bit-for-bit equal to ``simulate_e18`` on the same seeds.
     """
     return _broadcast_deterministic("E18", seeds, params)
-
-
-@PACK.kernel(
-    "E16",
-    mode="direct",
-    note="each replication's in-tree list-scheduling runs are sequential "
-    "policy decisions per completion epoch; nothing is shared to hoist",
-)
-def direct_e16(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E16: runs ``simulate_e16`` per replication."""
-    return [simulate_e16(ss, params) for ss in seeds]
 
 
 @PACK.kernel(

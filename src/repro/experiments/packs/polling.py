@@ -6,7 +6,7 @@ the pseudo-conservation law — the survey's polling claim.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from repro.experiments.packs import ScenarioPack
 from repro.utils.rng import crn_generators
 
 Params = Mapping[str, Any]
-Seeds = Sequence[np.random.SeedSequence]
 
 _SCHEMAS = {
     "E15": {
@@ -43,6 +42,13 @@ PACK = ScenarioPack(
 _E15_LAM = (0.3, 0.2)
 
 
+@PACK.kernel(
+    "E15",
+    mode="direct",
+    note="each replication's six CRN (policy, switchover) polling "
+    "simulations dominate the run; the pseudo-conservation right-hand "
+    "sides are too small a share to hoist",
+)
 @PACK.scenario(
     "E15",
     title="Polling with changeovers: exhaustive <= gated <= limited",
@@ -101,20 +107,3 @@ def simulate_e15(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
             cons_errs.append(abs(res.weighted_wait_sum / rhs - 1.0))
     metrics["max_conservation_err"] = float(max(cons_errs))
     return metrics
-
-
-# ---------------------------------------------------------------------------
-# vectorized kernels
-# ---------------------------------------------------------------------------
-
-
-@PACK.kernel(
-    "E15",
-    mode="direct",
-    note="each replication's six CRN (policy, switchover) polling "
-    "simulations dominate the run; the pseudo-conservation right-hand "
-    "sides are too small a share to hoist",
-)
-def direct_e15(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E15: runs ``simulate_e15`` per replication."""
-    return [simulate_e15(ss, params) for ss in seeds]

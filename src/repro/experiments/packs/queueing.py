@@ -9,6 +9,7 @@ M/M/1 / achievable-region LP ablation anchors — simulated through
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Mapping, Sequence
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from repro.experiments.packs import ScenarioPack
 from repro.utils.rng import crn_generators
-from repro.experiments.packs._shared import _crn_batches
 
 Params = Mapping[str, Any]
 Seeds = Sequence[np.random.SeedSequence]
@@ -106,6 +106,12 @@ def _e10_services():
     ]
 
 
+@PACK.kernel(
+    "E10",
+    mode="direct",
+    note="each replication's CRN network simulations dominate the run; the "
+    "cµ/Cobham/polytope analysis is too small a share to hoist",
+)
 @PACK.scenario(
     "E10",
     title="cµ rule optimality for the multiclass M/G/1",
@@ -192,6 +198,12 @@ _E11_FEEDBACK = (
 )
 
 
+@PACK.kernel(
+    "E11",
+    mode="direct",
+    note="each replication's six CRN network simulations dominate the run; "
+    "the Klimov index analysis is too small a share to hoist",
+)
 @PACK.scenario(
     "E11",
     title="Klimov's index rule for the M/G/1 with feedback",
@@ -261,6 +273,12 @@ def simulate_e11(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     }
 
 
+@PACK.kernel(
+    "E12",
+    mode="direct",
+    note="each replication's rho sweep of M/M/m simulations dominates the "
+    "run; the pooled lower bounds are too small a share to hoist",
+)
 @PACK.scenario(
     "E12",
     title="cµ on parallel servers: asymptotic optimality in heavy traffic",
@@ -327,6 +345,29 @@ def simulate_e12(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     }
 
 
+@functools.lru_cache(maxsize=32)
+def _e13_fluid(fh: float, dt: float) -> tuple[float, float]:
+    """E13's naive and augmented fluid-stability flags of the
+    exit-priority network over ``fluid_horizon`` ``fh`` at step ``dt``.
+
+    Seed-free, so both backends compute them once per process and
+    ``(fh, dt)`` rather than once per replication."""
+    from repro.queueing import FluidModel, is_fluid_stable, rybko_stolyar_network
+
+    bad = rybko_stolyar_network(1.0, 0.1, 0.6, priority_to_exit=True)
+    naive = is_fluid_stable(FluidModel.from_network(bad), horizon=fh, dt=dt)
+    augmented = is_fluid_stable(
+        FluidModel.from_network(bad, virtual_stations=((1, 3),)), horizon=fh, dt=dt
+    )
+    return float(naive), float(augmented)
+
+
+@PACK.kernel(
+    "E13",
+    mode="direct",
+    note="the three sample paths dominate the run; the seed-free fluid "
+    "flags are memoised per (fluid_horizon, fluid_dt) for both backends",
+)
 @PACK.scenario(
     "E13",
     title="Rybko–Stolyar: priority instability under nominal underload",
@@ -357,15 +398,12 @@ def simulate_e13(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     dictionary the registry entry's shape checks are evaluated on.
     """
     from repro.queueing import (
-        FluidModel,
-        is_fluid_stable,
         rybko_stolyar_network,
         simulate_network,
         virtual_station_load,
     )
 
     horizon = float(params["horizon"])
-    dt, fh = float(params["fluid_dt"]), float(params["fluid_horizon"])
     bad = rybko_stolyar_network(1.0, 0.1, 0.6, priority_to_exit=True)
     fifo = rybko_stolyar_network(1.0, 0.1, 0.6, priority_to_exit=False)
     safe = rybko_stolyar_network(1.0, 0.1, 0.4, priority_to_exit=True)
@@ -375,9 +413,8 @@ def simulate_e13(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     res_fifo = simulate_network(fifo, horizon, rngs[1])
     res_safe = simulate_network(safe, horizon, rngs[2])
 
-    naive_stable = is_fluid_stable(FluidModel.from_network(bad), horizon=fh, dt=dt)
-    aug_stable = is_fluid_stable(
-        FluidModel.from_network(bad, virtual_stations=((1, 3),)), horizon=fh, dt=dt
+    naive_stable, aug_stable = _e13_fluid(
+        float(params["fluid_horizon"]), float(params["fluid_dt"])
     )
     return {
         "bad_backlog": float(res_bad.final_backlog),
@@ -387,8 +424,8 @@ def simulate_e13(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
             res_bad.final_backlog / max(res_fifo.final_backlog, 1.0)
         ),
         "virtual_load_bad": float(virtual_station_load(bad)),
-        "naive_fluid_stable": float(naive_stable),
-        "augmented_fluid_stable": float(aug_stable),
+        "naive_fluid_stable": naive_stable,
+        "augmented_fluid_stable": aug_stable,
     }
 
 
@@ -414,6 +451,27 @@ def _e14_network(priority_a, priority_b):
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _e14_drain(priority_a: tuple, priority_b: tuple, fh: float, dt: float) -> float:
+    """Fluid drain time from ``(1, 1, 1)`` of the E14 network under one
+    pair of station priorities, over ``fluid_horizon`` ``fh`` at step
+    ``dt``.
+
+    Seed-free, so both backends compute it once per process and argument
+    tuple rather than once per replication."""
+    from repro.queueing import FluidModel, fluid_drain_time
+
+    fm = FluidModel.from_network(_e14_network(priority_a, priority_b))
+    return float(fluid_drain_time(fm, [1, 1, 1], horizon=fh, dt=dt))
+
+
+@PACK.kernel(
+    "E14",
+    mode="direct",
+    note="the CRN policy simulations dominate the run; each policy's "
+    "seed-free fluid drain time is memoised per (fluid_horizon, fluid_dt) "
+    "for both backends",
+)
 @PACK.scenario(
     "E14",
     title="Fluid-model heuristics rank MQN policies correctly",
@@ -440,29 +498,31 @@ def simulate_e14(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     Derives all randomness from ``ss`` and measures the metric
     dictionary the registry entry's shape checks are evaluated on.
     """
-    from repro.queueing import FluidModel, fluid_drain_time, simulate_network
+    from repro.queueing import simulate_network
 
     horizon = float(params["horizon"])
     dt, fh = float(params["fluid_dt"]), float(params["fluid_horizon"])
-    nets = {
-        "exit_first": _e14_network((2, 0), (1,)),
-        "entry_first": _e14_network((0, 2), (1,)),
-    }
+    policies = {"exit_first": ((2, 0), (1,)), "entry_first": ((0, 2), (1,))}
     drains, costs = {}, {}
     # CRN across the two candidate policies.
-    for (name, net), rng in zip(nets.items(), crn_generators(ss, len(nets))):
-        fm = FluidModel.from_network(net)
-        drains[name] = fluid_drain_time(fm, [1, 1, 1], horizon=fh, dt=dt)
-        costs[name] = simulate_network(net, horizon, rng).cost_rate
+    for (name, prio), rng in zip(policies.items(), crn_generators(ss, len(policies))):
+        drains[name] = _e14_drain(*prio, fh, dt)
+        costs[name] = simulate_network(_e14_network(*prio), horizon, rng).cost_rate
     return {
-        "drain_exit_first": float(drains["exit_first"]),
-        "drain_entry_first": float(drains["entry_first"]),
+        "drain_exit_first": drains["exit_first"],
+        "drain_entry_first": drains["entry_first"],
         "cost_exit_first": float(costs["exit_first"]),
         "cost_entry_first": float(costs["entry_first"]),
         "exit_vs_entry_cost": float(costs["exit_first"] / costs["entry_first"]),
     }
 
 
+@PACK.kernel(
+    "A2",
+    mode="direct",
+    note="the M/M/1 sample path dominates the run; the closed forms are too "
+    "small a share to hoist",
+)
 @PACK.scenario(
     "A2",
     title="Ablation: event-engine M/M/1 accuracy anchor",
@@ -559,147 +619,6 @@ def simulate_a3(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # vectorized kernels
 # ---------------------------------------------------------------------------
-
-
-@PACK.kernel(
-    "E10",
-    mode="direct",
-    note="each replication's CRN network simulations dominate the run; the "
-    "cµ/Cobham/polytope analysis is too small a share to hoist",
-)
-def direct_e10(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E10: runs ``simulate_e10`` per replication."""
-    return [simulate_e10(ss, params) for ss in seeds]
-
-
-@PACK.kernel(
-    "E11",
-    mode="direct",
-    note="each replication's six CRN network simulations dominate the run; "
-    "the Klimov index analysis is too small a share to hoist",
-)
-def direct_e11(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E11: runs ``simulate_e11`` per replication."""
-    return [simulate_e11(ss, params) for ss in seeds]
-
-
-@PACK.kernel(
-    "E12",
-    mode="direct",
-    note="each replication's rho sweep of M/M/m simulations dominates the "
-    "run; the pooled lower bounds are too small a share to hoist",
-)
-def direct_e12(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for E12: runs ``simulate_e12`` per replication."""
-    return [simulate_e12(ss, params) for ss in seeds]
-
-
-@PACK.kernel(
-    "E13",
-    mode="cached",
-    note="both deterministic fluid-stability integrations and the three "
-    "network constructions are done once for the batch; the stochastic "
-    "sample paths call simulate_network as the event path does",
-)
-def batch_e13(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``cached`` kernel for E13: computes the fluid-stability integrations once per batch;
-    bit-for-bit equal to ``simulate_e13`` on the same seeds.
-    """
-    from repro.queueing import (
-        FluidModel,
-        is_fluid_stable,
-        rybko_stolyar_network,
-        simulate_network,
-        virtual_station_load,
-    )
-
-    horizon = float(params["horizon"])
-    dt, fh = float(params["fluid_dt"]), float(params["fluid_horizon"])
-    bad = rybko_stolyar_network(1.0, 0.1, 0.6, priority_to_exit=True)
-    fifo = rybko_stolyar_network(1.0, 0.1, 0.6, priority_to_exit=False)
-    safe = rybko_stolyar_network(1.0, 0.1, 0.4, priority_to_exit=True)
-
-    spawned = [np.random.default_rng(ss).spawn(3) for ss in seeds]
-    res_bad = [simulate_network(bad, horizon, g[0]) for g in spawned]
-    res_fifo = [simulate_network(fifo, horizon, g[1]) for g in spawned]
-    res_safe = [simulate_network(safe, horizon, g[2]) for g in spawned]
-
-    naive_stable = float(is_fluid_stable(FluidModel.from_network(bad), horizon=fh, dt=dt))
-    aug_stable = float(
-        is_fluid_stable(
-            FluidModel.from_network(bad, virtual_stations=((1, 3),)), horizon=fh, dt=dt
-        )
-    )
-    v_load = float(virtual_station_load(bad))
-    rows = []
-    for r in range(len(seeds)):
-        rows.append(
-            {
-                "bad_backlog": float(res_bad[r].final_backlog),
-                "fifo_backlog": float(res_fifo[r].final_backlog),
-                "safe_backlog": float(res_safe[r].final_backlog),
-                "instability_ratio": float(
-                    res_bad[r].final_backlog / max(res_fifo[r].final_backlog, 1.0)
-                ),
-                "virtual_load_bad": v_load,
-                "naive_fluid_stable": naive_stable,
-                "augmented_fluid_stable": aug_stable,
-            }
-        )
-    return rows
-
-
-@PACK.kernel(
-    "E14",
-    mode="cached",
-    note="the deterministic fluid drain analysis (each policy's allocation "
-    "LPs and Euler integration) is computed once for the batch; the CRN "
-    "policy comparison calls simulate_network as the event path does",
-)
-def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``cached`` kernel for E14: computes the fluid drain integrations once per batch;
-    bit-for-bit equal to ``simulate_e14`` on the same seeds.
-    """
-    from repro.queueing import FluidModel, fluid_drain_time, simulate_network
-
-    horizon = float(params["horizon"])
-    dt, fh = float(params["fluid_dt"]), float(params["fluid_horizon"])
-    nets = {
-        "exit_first": _e14_network((2, 0), (1,)),
-        "entry_first": _e14_network((0, 2), (1,)),
-    }
-    drains = {
-        name: float(fluid_drain_time(FluidModel.from_network(net), [1, 1, 1], horizon=fh, dt=dt))
-        for name, net in nets.items()
-    }
-    costs = {}
-    for (name, net), rngs in zip(nets.items(), _crn_batches(seeds, len(nets))):
-        costs[name] = [simulate_network(net, horizon, rng).cost_rate for rng in rngs]
-    rows = []
-    for r in range(len(seeds)):
-        rows.append(
-            {
-                "drain_exit_first": drains["exit_first"],
-                "drain_entry_first": drains["entry_first"],
-                "cost_exit_first": float(costs["exit_first"][r]),
-                "cost_entry_first": float(costs["entry_first"][r]),
-                "exit_vs_entry_cost": float(
-                    costs["exit_first"][r] / costs["entry_first"][r]
-                ),
-            }
-        )
-    return rows
-
-
-@PACK.kernel(
-    "A2",
-    mode="direct",
-    note="the M/M/1 sample path dominates the run; the closed forms are too "
-    "small a share to hoist",
-)
-def direct_a2(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``direct`` kernel for A2: runs ``simulate_a2`` per replication."""
-    return [simulate_a2(ss, params) for ss in seeds]
 
 
 @PACK.kernel(

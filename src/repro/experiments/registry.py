@@ -104,10 +104,11 @@ class VectorizedKernel:
     """A scenario's vectorized kernel: the batch simulate function plus
     metadata.
 
-    ``fn(seeds, params)`` runs all replications of the scenario at once
-    and returns one metric dict per seed, bit-for-bit equal to what the
-    scenario's ``simulate`` returns for that seed (the rules a kernel
-    follows to keep that are listed in :mod:`repro.sim.vectorized`).
+    In every mode but ``direct``, ``fn(seeds, params)`` runs all
+    replications of the scenario at once and returns one metric dict per
+    seed, bit-for-bit equal to what the scenario's ``simulate`` returns
+    for that seed (the rules a kernel follows to keep that are listed in
+    :mod:`repro.sim.vectorized`).
 
     ``mode`` is ``"batched"`` when the kernel genuinely vectorizes the
     per-replication computation across replications (expect a large
@@ -116,19 +117,17 @@ class VectorizedKernel:
     per step through the lockstep rollout simulators of
     :mod:`repro.sim.vectorized` (expect a solid constant-factor speedup,
     bounded by any per-replication analysis the scenario also performs);
-    or ``"cached"`` when the scenario is dominated by work that is
-    identical across replications — the kernel hoists that shared
-    computation out of the loop and leaves the per-replication
-    stochastic part on the scenario's own simulator (expect a speedup
-    proportional to the hoisted fraction, which may be modest); or
-    ``"direct"`` when nothing is worth hoisting — the kernel calls the
-    scenario's own ``simulate`` per replication, so the scenario still
+    ``"cached"`` when the scenario is seed-free — the kernel evaluates
+    one row and broadcasts it to every seed (expect a speedup of about
+    the batch size); or ``"direct"`` when nothing is worth batching —
+    ``fn`` *is* the scenario's own ``simulate`` (the pack validates
+    this), the runner calls it once per seed, and the scenario still
     runs on (and ``auto`` still resolves to) the vectorized backend
     (expect no speedup).
     All modes are bit-for-bit equivalent to the event backend.
     """
 
-    fn: BatchSimulateFn
+    fn: BatchSimulateFn | SimulateFn
     mode: str
     note: str = ""
 

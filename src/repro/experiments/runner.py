@@ -113,8 +113,12 @@ def simulate_scenario_batch(
     params: Mapping[str, Any],
 ) -> list[dict[str, float]]:
     """Run all replications of ``scenario_id`` through its vectorized
-    kernel.  Raises ``KeyError`` when no kernel is registered."""
-    rows = get_kernel(scenario_id).fn(seeds, params)
+    kernel (a ``direct`` kernel, the scenario's ``simulate``, once per
+    seed).  Raises ``KeyError`` when no kernel is registered."""
+    kernel = get_kernel(scenario_id)
+    if kernel.mode == "direct":
+        return [kernel.fn(ss, params) for ss in seeds]
+    rows = kernel.fn(seeds, params)
     if len(rows) != len(seeds):
         raise RuntimeError(
             f"kernel for {scenario_id} returned {len(rows)} rows for "

@@ -2,8 +2,8 @@
 
 The survey observes that "computer simulation remains the most widely used
 tool in applications of these models". No simulation package is assumed; this
-subpackage implements the substrate from scratch: serial, parallel and paired
-replication runners producing confidence intervals, the adaptive
+subpackage implements the substrate from scratch: serial-or-parallel and
+paired replication runners producing confidence intervals, the adaptive
 sequential-stopping controller, and the batched primitives the vectorized
 kernels share (:mod:`repro.sim.vectorized`).  The kernels themselves are
 registered beside their scenarios in :mod:`repro.experiments.registry`.
@@ -14,7 +14,6 @@ from repro.sim.replication import (
     ReplicationResult,
     run_paired_replications,
     run_replications,
-    run_replications_parallel,
 )
 from repro.sim.sequential import (
     PrecisionTarget,
@@ -26,7 +25,6 @@ __all__ = [
     "ReplicationResult",
     "PairedReplicationResult",
     "run_replications",
-    "run_replications_parallel",
     "run_paired_replications",
     "PrecisionTarget",
     "SequentialOutcome",

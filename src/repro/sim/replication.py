@@ -1,19 +1,18 @@
 """Replication runner: independent replications with confidence intervals.
 
-Three entry points, in increasing order of machinery:
+Two entry points:
 
-* :func:`run_replications` — serial replications of one experiment.
-* :func:`run_replications_parallel` — the same contract with multiprocess
-  fan-out.  Seeds are spawned *before* partitioning, so results are
-  bit-identical for every worker count (including 1).
+* :func:`run_replications` — replications of one experiment, serial or
+  with multiprocess fan-out.  Seeds are spawned *before* partitioning, so
+  results are bit-identical for every worker count (including 1).
 * :func:`run_paired_replications` — several experiments (policies) compared
   under common random numbers: replication ``i`` of every policy sees the
   same random stream, which makes difference estimates far tighter than
   independent runs.
 
 Parallel execution requires the experiment callable to be picklable (a
-module-level function, not a lambda or closure); serial execution has no
-such restriction.
+module-level function, not a lambda or closure); with one worker there is
+no such restriction.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "ReplicationResult",
     "PairedReplicationResult",
     "run_replications",
-    "run_replications_parallel",
     "run_paired_replications",
     "map_seed_chunks",
     "resolve_workers",
@@ -92,38 +90,46 @@ def _result_from_samples(samples: np.ndarray, level: float) -> ReplicationResult
     )
 
 
-def run_replications(
-    experiment: Callable[[np.random.Generator], float],
-    n_replications: int,
-    *,
-    seed: int | None = None,
-    level: float = 0.95,
-) -> ReplicationResult:
-    """Run ``experiment`` on ``n_replications`` independent RNG streams.
-
-    Parameters
-    ----------
-    experiment:
-        Maps a fresh generator to a scalar performance measure.
-    n_replications:
-        Number of independent replications (streams are spawned from
-        ``seed`` via SeedSequence, so they never overlap).
-    level:
-        Confidence level for the interval over replication means.
-    """
-    if n_replications < 1:
-        raise ValueError("need at least one replication")
-    rngs = [np.random.default_rng(ss) for ss in spawn_seed_sequences(seed, n_replications)]
-    samples = np.array([float(experiment(rng)) for rng in rngs])
-    return _result_from_samples(samples, level)
-
-
 def _run_chunk(
     experiment: Callable[[np.random.Generator], float],
     seed_sequences: Sequence[np.random.SeedSequence],
 ) -> list[float]:
     """Worker body: run one experiment over a chunk of pre-spawned seeds."""
     return [float(experiment(np.random.default_rng(ss))) for ss in seed_sequences]
+
+
+def run_replications(
+    experiment: Callable[[np.random.Generator], float],
+    n_replications: int,
+    *,
+    seed: int | None = None,
+    level: float = 0.95,
+    workers: int | None = 1,
+) -> ReplicationResult:
+    """Run ``experiment`` on ``n_replications`` independent RNG streams.
+
+    Parameters
+    ----------
+    experiment:
+        Maps a fresh generator to a scalar performance measure.  With
+        more than one worker it must be picklable (a module-level
+        function).
+    n_replications:
+        Number of independent replications (streams are spawned from
+        ``seed`` via SeedSequence, so they never overlap).
+    level:
+        Confidence level for the interval over replication means.
+    workers:
+        Worker processes (``None``/0 = all cores).  The seeds are spawned
+        up front and only then partitioned, so replication ``i`` sees the
+        identical stream, and the samples are identical, for every
+        worker count.
+    """
+    if n_replications < 1:
+        raise ValueError("need at least one replication")
+    seeds = spawn_seed_sequences(seed, n_replications)
+    rows = map_seed_chunks(_run_chunk, experiment, seeds, workers=workers)
+    return _result_from_samples(np.array(rows), level)
 
 
 def _chunk(items: Sequence, n_chunks: int) -> list[Sequence]:
@@ -158,32 +164,6 @@ def map_seed_chunks(
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         futures = [pool.submit(worker, payload, c) for c in chunks]
         return [row for f in futures for row in f.result()]
-
-
-def run_replications_parallel(
-    experiment: Callable[[np.random.Generator], float],
-    n_replications: int,
-    *,
-    seed: int | None = None,
-    level: float = 0.95,
-    workers: int | None = None,
-) -> ReplicationResult:
-    """Multiprocess version of :func:`run_replications`.
-
-    All ``n_replications`` seed sequences are spawned up front from ``seed``
-    and only then partitioned into contiguous chunks, one batch of chunks
-    per worker; results are reassembled in replication order.  Replication
-    ``i`` therefore sees the identical stream regardless of ``workers``, so
-    the samples (and every derived statistic) match the serial run exactly.
-
-    ``experiment`` must be picklable (a module-level function).  With
-    ``workers=1`` the call degrades to the serial path, lambdas and all.
-    """
-    if n_replications < 1:
-        raise ValueError("need at least one replication")
-    seeds = spawn_seed_sequences(seed, n_replications)
-    rows = map_seed_chunks(_run_chunk, experiment, seeds, workers=workers)
-    return _result_from_samples(np.array(rows), level)
 
 
 def _run_paired_chunk(

@@ -27,14 +27,14 @@ replication's heterogeneous fleet on shared ``(reps, projects, states)``
 arrays), batched switching-MDP assembly, batched flow-shop recurrences,
 and a batched restart-in-state Gittins solver.
 
-The ``direct`` kernels (E2, E7, E10–E12, E15, E16, A2) have no primitive
-here: they call the scenario's own ``simulate`` per replication, because
-a second, batched implementation measured under 2x faster than the event
-path does not pay for keeping it bit-identical.  The queueing
+The ``direct`` kernels (E2, E7, E10–E16, A2) have no primitive here:
+each is the scenario's own ``simulate``, run once per replication,
+because a second, batched implementation measured under 2x faster than
+the event path does not pay for keeping it bit-identical.  The queueing
 simulators, :func:`repro.queueing.network.simulate_network` and
 :meth:`repro.queueing.polling.PollingSystem.simulate`, are already the
-fast engines; the E13/E14 kernels hoist the deterministic fluid
-analysis and call them per replication (``cached`` mode).
+fast engines, and E13/E14 memoise their seed-free fluid analysis for
+both backends.
 
 Bitwise-equality rules the primitives rely on (verified by the
 equivalence tests, so a platform where one failed would fail loudly):

@@ -7,7 +7,8 @@ scenario's ``simulate`` function returns — same keys, identical floats.
 These tests enforce that promise for every registered kernel, through
 both the raw kernel interface and the runner, plus property-based tests
 that randomise the scenario parameters of the single-machine,
-parallel-machine, heavy-traffic (E12) and polling (E15) kernels.  The
+parallel-machine, heavy-traffic (E12) and polling (E15) kernels and
+the E13/E14 fluid memos.  The
 queueing engines themselves (``simulate_network`` and
 ``PollingSystem.simulate``) are checked bit-for-bit against the
 heap-calendar oracles in ``tests/queueing_oracles.py`` over randomised
@@ -353,19 +354,33 @@ def test_e15_polling_cases_take_the_block_draw_path():
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     horizon=st.floats(min_value=50.0, max_value=250.0),
+    fluid_horizons=st.tuples(st.floats(1.0, 12.0), st.floats(1.0, 12.0)),
+    fluid_dts=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)),
     sid=st.sampled_from(["E13", "E14"]),
 )
-def test_property_network_scenario_kernel_equivalence(seed, horizon, sid):
-    # the instability (E13) and fluid-ranking (E14) kernels hoist the
-    # fluid analyses out of the replication loop — a random horizon cuts
-    # the event sequence at arbitrary points, so kernel and event path
-    # must agree at *every* prefix, not just the FAST_PARAMS one
-    fluid = {"E13": {"fluid_horizon": 10.0}, "E14": {"fluid_horizon": 30.0}}
+def test_property_network_scenario_kernel_equivalence(
+    seed, horizon, fluid_horizons, fluid_dts, sid
+):
+    # E13/E14 memoise their seed-free fluid analysis on (fluid_horizon,
+    # fluid_dt). Rows from a memo warmed by points sharing one coordinate
+    # must equal rows from a cleared memo, so a memo keyed on one
+    # coordinate only (or holding a stale value) fails here
+    from repro.experiments.packs.queueing import _e13_fluid, _e14_drain
+
+    memo = {"E13": _e13_fluid, "E14": _e14_drain}[sid]
+    (fh, fh2), (dt, dt2) = fluid_horizons, fluid_dts
     sc = get_scenario(sid)
-    params = sc.params({"horizon": horizon, **fluid[sid]})
-    event_rows = [sc.simulate(ss, params) for ss in spawn_seed_sequences(seed, 2)]
-    vec_rows = simulate_scenario_batch(sid, spawn_seed_sequences(seed, 2), params)
-    assert_rows_identical(event_rows, vec_rows, context=f"{sid} seed={seed}")
+    points = [
+        sc.params({"horizon": horizon, "fluid_horizon": a, "fluid_dt": b})
+        for a, b in ((fh, dt2), (fh2, dt), (fh, dt))
+    ]
+    warm = [
+        simulate_scenario_batch(sid, spawn_seed_sequences(seed, 2), p) for p in points
+    ]
+    for p, rows in zip(points, warm):
+        memo.cache_clear()
+        cold = [sc.simulate(ss, p) for ss in spawn_seed_sequences(seed, 2)]
+        assert_rows_identical(cold, rows, context=f"{sid} seed={seed} {p}")
 
 
 def _service_law(data, j):

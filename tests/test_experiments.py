@@ -17,11 +17,7 @@ from repro.experiments import (
     scenario_ids,
 )
 from repro.experiments.cli import main as cli_main
-from repro.sim.replication import (
-    run_paired_replications,
-    run_replications,
-    run_replications_parallel,
-)
+from repro.sim.replication import run_paired_replications, run_replications
 from repro.utils.rng import as_seed_sequence, crn_generators, spawn_seed_sequences
 
 
@@ -236,17 +232,15 @@ def _toy_experiment(rng):
 
 
 def test_parallel_replications_match_serial():
-    serial = run_replications(_toy_experiment, 16, seed=3)
-    fanned = run_replications_parallel(_toy_experiment, 16, seed=3, workers=2)
+    serial = run_replications(_toy_experiment, 16, seed=3, workers=1)
+    fanned = run_replications(_toy_experiment, 16, seed=3, workers=2)
     np.testing.assert_array_equal(serial.samples, fanned.samples)
     assert serial.mean == fanned.mean
     assert serial.half_width == fanned.half_width
 
 
 def test_parallel_replications_workers_one_allows_lambdas():
-    res = run_replications_parallel(
-        lambda rng: float(rng.uniform()), 4, seed=0, workers=1
-    )
+    res = run_replications(lambda rng: float(rng.uniform()), 4, seed=0, workers=1)
     assert res.samples.shape == (4,)
 
 

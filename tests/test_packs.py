@@ -100,6 +100,14 @@ def test_pack_rejects_dangling_kernel():
         pack.validate()
 
 
+def test_pack_rejects_direct_kernel_that_is_not_the_scenarios_simulate():
+    pack = ScenarioPack("p", "1.0")
+    pack.scenario("X1", title="-", claim="-", verdict="-")(_sim)
+    pack.kernel("X1", mode="direct", note="-")(lambda ss, params: _sim(ss, params))
+    with pytest.raises(PackError, match="direct kernel for 'X1'.*own simulate"):
+        pack.validate()
+
+
 def test_pack_rejects_bad_metadata():
     with pytest.raises(PackError, match="name"):
         ScenarioPack("", "1.0").validate()
