@@ -46,6 +46,7 @@ from typing import Any, Sequence
 from repro.experiments.registry import (
     ParamValidationError,
     get_scenario,
+    is_direct_kernel,
     list_scenarios,
     pack_info,
     scenario_ids,
@@ -299,7 +300,10 @@ def _cmd_packs() -> int:
         if pack.docs:
             print(f"  docs: {pack.docs}")
         ids = sorted(sc.scenario_id for sc in pack.scenarios.values())
-        kernels = [f"{sid} [{pack.kernels[sid].mode}]" for sid in sorted(pack.kernels)]
+        kernels = [
+            f"{sid} [{'direct' if is_direct_kernel(sid) else 'batched'}]"
+            for sid in sorted(pack.kernels)
+        ]
         print(f"  scenarios ({len(ids)}): {', '.join(ids)}")
         if kernels:
             print(f"  kernels ({len(kernels)}): {', '.join(kernels)}")

@@ -152,14 +152,12 @@ class ScenarioPack:
 
         return decorate
 
-    def kernel(
-        self, scenario_id: str, *, mode: str, note: str = ""
-    ) -> Callable:
+    def kernel(self, scenario_id: str, *, note: str = "") -> Callable:
         """Decorator declaring the vectorized kernel for one of this
         pack's scenarios (see
         :class:`~repro.experiments.registry.VectorizedKernel` for the
-        contract and the modes).  A ``direct`` kernel is declared by
-        stacking this decorator on the scenario's own ``simulate``.
+        contract).  Stacked on the scenario's own ``simulate`` it declares
+        a direct kernel; on a separate batch function, a batched one.
         Returns the function unchanged (so it stays picklable)."""
         key = scenario_id.upper()
 
@@ -168,7 +166,7 @@ class ScenarioPack:
                 raise PackError(
                     f"pack {self.name!r} declares a kernel for {scenario_id!r} twice"
                 )
-            self.kernels[key] = VectorizedKernel(fn=fn, mode=mode, note=note)
+            self.kernels[key] = VectorizedKernel(fn=fn, note=note)
             return fn
 
         return decorate
@@ -177,9 +175,8 @@ class ScenarioPack:
         """Check manifest well-formedness; raises :class:`PackError`.
 
         Enforced: non-empty string name/version, every kernel id names a
-        scenario of this pack, a ``direct`` kernel is that scenario's own
-        ``simulate``, and each scenario's defaults satisfy its own
-        declared schema (so a pack cannot ship unrunnable defaults).
+        scenario of this pack, and each scenario's defaults satisfy its
+        own declared schema (so a pack cannot ship unrunnable defaults).
         """
         if not self.name or not isinstance(self.name, str):
             raise PackError(f"pack name must be a non-empty string, got {self.name!r}")
@@ -194,14 +191,6 @@ class ScenarioPack:
                 f"pack {self.name!r} declares kernel(s) for {dangling} but no "
                 f"matching scenario(s); a kernel must accompany its scenario"
             )
-        for key, kernel in self.kernels.items():
-            simulate = self.scenarios[key].simulate
-            if kernel.mode == "direct" and kernel.fn is not simulate:
-                raise PackError(
-                    f"pack {self.name!r}: the direct kernel for {key!r} must be "
-                    f"the scenario's own simulate function; stack "
-                    f"@kernel({key!r}, mode='direct') on it"
-                )
         from repro.utils.schema import schema_errors
 
         for key, sc in self.scenarios.items():

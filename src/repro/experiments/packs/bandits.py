@@ -66,7 +66,6 @@ PACK = ScenarioPack(
 
 @PACK.kernel(
     "E7",
-    mode="direct",
     note="each replication's product-space policy iteration and index "
     "computations depend on its own projects; nothing is shared to hoist",
 )
@@ -266,7 +265,6 @@ def _policy_values_batch(
 
 @PACK.kernel(
     "E9",
-    mode="batched",
     note="the joint switching MDP is assembled once for the whole batch "
     "(the event path rebuilds it three times per replication) and both "
     "heuristic policies share one set of VWB index tables",
@@ -334,7 +332,6 @@ def batch_e9(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "A1",
-    mode="batched",
     note="the dominant restart-in-state value iterations run over the "
     "whole batch with stacked matrix-vector products; the VWB recursion "
     "keeps its exact per-replication control flow",

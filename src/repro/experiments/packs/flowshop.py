@@ -6,11 +6,13 @@ claims, HLF under in-tree precedence, Talwar's rule for the two-machine
 exponential flow shop, and threshold structure on uniform machines — the
 batch-scheduling half of the survey, with the vectorized kernels that
 batch the brute-force/DP/recurrence computations across replications
-(E2 and E16 have ``direct`` kernels that run their event path).
+(E2, E5, E16 and E18 have ``direct`` kernels that run their event path;
+the seed-free E5 and E18 memoise their row).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Mapping, Sequence
 
@@ -172,7 +174,6 @@ def simulate_e1(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
 
 @PACK.kernel(
     "E2",
-    mode="direct",
     note="each replication's three preemptive DHR DPs dominate the run; the "
     "memoryless half is too small a share to hoist",
 )
@@ -341,6 +342,45 @@ def simulate_e4(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     }
 
 
+@functools.lru_cache(maxsize=32)
+def _e5_row(m: int) -> dict[str, float]:
+    """E5's metrics on ``m`` machines.
+
+    The study instance is fixed and the enumeration exact, so both
+    backends evaluate it once per process and ``m`` rather than once per
+    replication; callers copy the row."""
+    from repro.batch import Job, sept_order
+    from repro.batch.parallel import exact_two_point_list_flowtime
+    from repro.distributions import TwoPoint
+
+    # the study instance, found by exact search
+    jobs = [
+        Job(0, TwoPoint(1.016, 11.897, 0.935)),
+        Job(1, TwoPoint(1.343, 7.954, 0.609)),
+        Job(2, TwoPoint(1.832, 7.195, 0.556)),
+        Job(3, TwoPoint(0.932, 15.481, 0.749)),
+    ]
+    sept = tuple(sept_order(jobs))
+    values = {
+        perm: exact_two_point_list_flowtime(jobs, m, list(perm))
+        for perm in itertools.permutations(range(len(jobs)))
+    }
+    best = min(values.values())
+    return {
+        "sept_value": float(values[sept]),
+        "best_value": float(best),
+        "sept_ratio": float(values[sept] / best),
+        "n_better_orders": float(
+            sum(v < values[sept] - 1e-9 for v in values.values())
+        ),
+    }
+
+
+@PACK.kernel(
+    "E5",
+    note="the study instance is fixed and the enumeration exact — the row "
+    "is memoised per m for both backends",
+)
 @PACK.scenario(
     "E5",
     title="Two-point jobs on two machines break SEPT",
@@ -363,36 +403,9 @@ def simulate_e4(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
 def simulate_e5(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     """One replication of E5: Two-point jobs on two machines break SEPT.
 
-    Derives all randomness from ``ss`` and measures the metric
-    dictionary the registry entry's shape checks are evaluated on.
+    Seed-free: every replication returns a copy of the memoised row.
     """
-    from repro.batch import Job, sept_order
-    from repro.batch.parallel import exact_two_point_list_flowtime
-    from repro.distributions import TwoPoint
-
-    # The study instance (found by exact search); the computation is fully
-    # deterministic, so every replication returns identical metrics.
-    jobs = [
-        Job(0, TwoPoint(1.016, 11.897, 0.935)),
-        Job(1, TwoPoint(1.343, 7.954, 0.609)),
-        Job(2, TwoPoint(1.832, 7.195, 0.556)),
-        Job(3, TwoPoint(0.932, 15.481, 0.749)),
-    ]
-    m = int(params["m"])
-    sept = tuple(sept_order(jobs))
-    values = {
-        perm: exact_two_point_list_flowtime(jobs, m, list(perm))
-        for perm in itertools.permutations(range(len(jobs)))
-    }
-    best = min(values.values())
-    return {
-        "sept_value": float(values[sept]),
-        "best_value": float(best),
-        "sept_ratio": float(values[sept] / best),
-        "n_better_orders": float(
-            sum(v < values[sept] - 1e-9 for v in values.values())
-        ),
-    }
+    return dict(_e5_row(int(params["m"])))
 
 
 @PACK.scenario(
@@ -437,7 +450,6 @@ def simulate_e6(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
 
 @PACK.kernel(
     "E16",
-    mode="direct",
     note="each replication's in-tree list-scheduling runs are sequential "
     "policy decisions per completion epoch; nothing is shared to hoist",
 )
@@ -576,6 +588,46 @@ def simulate_e17(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _e18_row() -> dict[str, float]:
+    """E18's metrics.
+
+    The study instances are fixed and the DPs exact, so both backends
+    evaluate them once per process rather than once per replication;
+    callers copy the row."""
+    from repro.batch.uniform_machines import (
+        greedy_assignment,
+        uniform_flowtime_dp,
+        uniform_policy_flowtime_dp,
+    )
+
+    rates_id = np.array([1.0, 1.0, 1.0])
+    speeds = np.array([1.0, 0.15])
+    opt_id = uniform_flowtime_dp(rates_id, speeds)
+    greedy_id = uniform_policy_flowtime_dp(
+        rates_id, speeds, greedy_assignment(rates_id, speeds)
+    )
+
+    rates_w = np.array([1.4950, 0.3967, 0.2793, 4.1037])
+    speeds_w = np.array([0.9171, 0.6263])
+    weights = np.array([3.6745, 2.7638, 4.6819, 4.0977])
+    opt_w = uniform_flowtime_dp(rates_w, speeds_w, weights=weights)
+    greedy_w = uniform_policy_flowtime_dp(
+        rates_w, speeds_w, greedy_assignment(rates_w, speeds_w), weights=weights
+    )
+    opt_faster = uniform_flowtime_dp(rates_id, np.array([1.0, 0.6]))
+    return {
+        "greedy_identical_gap": float(greedy_id / opt_id - 1.0),
+        "greedy_weighted_ratio": float(greedy_w / opt_w),
+        "speedup_ratio": float(opt_faster / opt_id),
+    }
+
+
+@PACK.kernel(
+    "E18",
+    note="fixed study instances, fully deterministic DPs — the row is "
+    "memoised for both backends",
+)
 @PACK.scenario(
     "E18",
     title="Uniform machines: threshold structure beyond naive greedy",
@@ -600,36 +652,9 @@ def simulate_e17(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 def simulate_e18(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     """One replication of E18: Uniform machines: threshold structure beyond naive greedy.
 
-    Derives all randomness from ``ss`` and measures the metric
-    dictionary the registry entry's shape checks are evaluated on.
+    Seed-free: every replication returns a copy of the memoised row.
     """
-    from repro.batch.uniform_machines import (
-        greedy_assignment,
-        uniform_flowtime_dp,
-        uniform_policy_flowtime_dp,
-    )
-
-    # The study instances are fixed; the scenario is fully deterministic.
-    rates_id = np.array([1.0, 1.0, 1.0])
-    speeds = np.array([1.0, 0.15])
-    opt_id = uniform_flowtime_dp(rates_id, speeds)
-    greedy_id = uniform_policy_flowtime_dp(
-        rates_id, speeds, greedy_assignment(rates_id, speeds)
-    )
-
-    rates_w = np.array([1.4950, 0.3967, 0.2793, 4.1037])
-    speeds_w = np.array([0.9171, 0.6263])
-    weights = np.array([3.6745, 2.7638, 4.6819, 4.0977])
-    opt_w = uniform_flowtime_dp(rates_w, speeds_w, weights=weights)
-    greedy_w = uniform_policy_flowtime_dp(
-        rates_w, speeds_w, greedy_assignment(rates_w, speeds_w), weights=weights
-    )
-    opt_faster = uniform_flowtime_dp(rates_id, np.array([1.0, 0.6]))
-    return {
-        "greedy_identical_gap": float(greedy_id / opt_id - 1.0),
-        "greedy_weighted_ratio": float(greedy_w / opt_w),
-        "speedup_ratio": float(opt_faster / opt_id),
-    }
+    return dict(_e18_row())
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +664,6 @@ def simulate_e18(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 
 @PACK.kernel(
     "E1",
-    mode="batched",
     note="brute force over all n! sequences as one prefix-tree walk on "
     "(perms, reps) arrays instead of per-permutation Python loops",
 )
@@ -709,7 +733,6 @@ def _uniform_rates(seeds: Seeds, params: Params) -> np.ndarray:
 
 @PACK.kernel(
     "E3",
-    mode="batched",
     note="subset DP evaluated once over all replications (vector-valued "
     "states) plus a batched stochastic-order certification",
 )
@@ -736,7 +759,6 @@ def batch_e3(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "E4",
-    mode="batched",
     note="makespan subset DP evaluated once over all replications",
 )
 def batch_e4(seeds: Seeds, params: Params) -> list[dict[str, float]]:
@@ -760,7 +782,6 @@ def batch_e4(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "E6",
-    mode="batched",
     note="the nested-instance optimal and WSEPT subset DPs run once per "
     "batch with vector-valued states, one array computation per popcount "
     "layer (every mask of a size and all its actions at once)",
@@ -807,48 +828,8 @@ def batch_e6(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     )
 
 
-def _broadcast_deterministic(
-    scenario_id: str, seeds: Seeds, params: Params
-) -> list[dict[str, float]]:
-    """For a ``simulate`` that never touches its seed, every replication
-    is the same computation: run it once and replicate the row."""
-    from repro.experiments.registry import get_scenario
-
-    if not seeds:
-        return []
-    row = get_scenario(scenario_id).simulate(seeds[0], params)
-    return [dict(row) for _ in seeds]
-
-
-@PACK.kernel(
-    "E5",
-    mode="cached",
-    note="the study instance is fixed and the enumeration exact — one "
-    "evaluation serves every replication",
-)
-def batch_e5(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``cached`` kernel for E5: hoists the replication-invariant work and evaluates it once for the batch;
-    bit-for-bit equal to ``simulate_e5`` on the same seeds.
-    """
-    return _broadcast_deterministic("E5", seeds, params)
-
-
-@PACK.kernel(
-    "E18",
-    mode="cached",
-    note="fixed study instances, fully deterministic DPs — one evaluation "
-    "serves every replication",
-)
-def batch_e18(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``cached`` kernel for E18: hoists the replication-invariant work and evaluates it once for the batch;
-    bit-for-bit equal to ``simulate_e18`` on the same seeds.
-    """
-    return _broadcast_deterministic("E18", seeds, params)
-
-
 @PACK.kernel(
     "E17",
-    mode="batched",
     note="the four CRN sequence evaluations run as batched (reps,) "
     "completion recurrences; the deterministic Johnson limit is computed "
     "once for the whole batch",

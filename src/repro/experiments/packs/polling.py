@@ -44,7 +44,6 @@ _E15_LAM = (0.3, 0.2)
 
 @PACK.kernel(
     "E15",
-    mode="direct",
     note="each replication's six CRN (policy, switchover) polling "
     "simulations dominate the run; the pseudo-conservation right-hand "
     "sides are too small a share to hoist",

@@ -108,7 +108,6 @@ def _e10_services():
 
 @PACK.kernel(
     "E10",
-    mode="direct",
     note="each replication's CRN network simulations dominate the run; the "
     "cµ/Cobham/polytope analysis is too small a share to hoist",
 )
@@ -200,7 +199,6 @@ _E11_FEEDBACK = (
 
 @PACK.kernel(
     "E11",
-    mode="direct",
     note="each replication's six CRN network simulations dominate the run; "
     "the Klimov index analysis is too small a share to hoist",
 )
@@ -275,7 +273,6 @@ def simulate_e11(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 
 @PACK.kernel(
     "E12",
-    mode="direct",
     note="each replication's rho sweep of M/M/m simulations dominates the "
     "run; the pooled lower bounds are too small a share to hoist",
 )
@@ -364,7 +361,6 @@ def _e13_fluid(fh: float, dt: float) -> tuple[float, float]:
 
 @PACK.kernel(
     "E13",
-    mode="direct",
     note="the three sample paths dominate the run; the seed-free fluid "
     "flags are memoised per (fluid_horizon, fluid_dt) for both backends",
 )
@@ -467,7 +463,6 @@ def _e14_drain(priority_a: tuple, priority_b: tuple, fh: float, dt: float) -> fl
 
 @PACK.kernel(
     "E14",
-    mode="direct",
     note="the CRN policy simulations dominate the run; each policy's "
     "seed-free fluid drain time is memoised per (fluid_horizon, fluid_dt) "
     "for both backends",
@@ -519,7 +514,6 @@ def simulate_e14(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 
 @PACK.kernel(
     "A2",
-    mode="direct",
     note="the M/M/1 sample path dominates the run; the closed forms are too "
     "small a share to hoist",
 )
@@ -623,7 +617,6 @@ def simulate_a3(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
 
 @PACK.kernel(
     "A3",
-    mode="batched",
     note="the polymatroid constraint assembly and the 120-permutation "
     "Cobham vertex scan are batched across replications; each "
     "replication's LP keeps its own exact HiGHS solve",

@@ -225,7 +225,6 @@ def simulate_e19(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 
 @PACK.kernel(
     "E8",
-    mode="batched",
     note="the LP bound and Whittle/myopic index tables are identical for "
     "every replication and computed once; the fleet rollouts run in "
     "lockstep across replications",
@@ -296,7 +295,6 @@ def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
 
 @PACK.kernel(
     "E19",
-    mode="lockstep",
     note="the Lagrangian-bound golden-section searches and the Whittle "
     "bisections of every replication's fleet advance one step per round, "
     "each round one stacked relative-value-iteration solve; both policy "
@@ -304,7 +302,7 @@ def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     "states) arrays",
 )
 def batch_e19(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E19: drives the whole batch through the flat lockstep simulators;
+    """``batched`` kernel for E19: drives the whole batch through the flat lockstep simulators;
     bit-for-bit equal to ``simulate_e19`` on the same seeds.
     """
     from repro.bandits import random_restless_project, relaxation_bounds_and_indices

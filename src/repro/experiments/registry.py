@@ -46,7 +46,6 @@ __all__ = [
     "CheckOutcome",
     "ParamValidationError",
     "VectorizedKernel",
-    "KERNEL_MODES",
     "register",
     "is_registered",
     "get_scenario",
@@ -55,6 +54,7 @@ __all__ = [
     "pack_info",
     "has_kernel",
     "get_kernel",
+    "is_direct_kernel",
     "kernel_ids",
 ]
 
@@ -63,9 +63,6 @@ CheckFn = Callable[[Mapping[str, float]], bool]
 BatchSimulateFn = Callable[
     [Sequence[np.random.SeedSequence], Mapping[str, Any]], "list[dict[str, float]]"
 ]
-
-KERNEL_MODES = ("batched", "cached", "lockstep", "direct")
-
 
 class ParamValidationError(ValueError):
     """Parameter values that violate a scenario's declared JSON schema.
@@ -102,38 +99,23 @@ def _fingerprint(fn: Callable) -> tuple:
 @dataclass(frozen=True)
 class VectorizedKernel:
     """A scenario's vectorized kernel: the batch simulate function plus
-    metadata.
+    a note on its strategy.
 
-    In every mode but ``direct``, ``fn(seeds, params)`` runs all
-    replications of the scenario at once and returns one metric dict per
-    seed, bit-for-bit equal to what the scenario's ``simulate`` returns
-    for that seed (the rules a kernel follows to keep that are listed in
-    :mod:`repro.sim.vectorized`).
-
-    ``mode`` is ``"batched"`` when the kernel genuinely vectorizes the
-    per-replication computation across replications (expect a large
-    speedup); ``"lockstep"`` when the scenario is event-/epoch-driven and
-    the kernel advances the whole replication batch one event or epoch
-    per step through the lockstep rollout simulators of
-    :mod:`repro.sim.vectorized` (expect a solid constant-factor speedup,
-    bounded by any per-replication analysis the scenario also performs);
-    ``"cached"`` when the scenario is seed-free — the kernel evaluates
-    one row and broadcasts it to every seed (expect a speedup of about
-    the batch size); or ``"direct"`` when nothing is worth batching —
-    ``fn`` *is* the scenario's own ``simulate`` (the pack validates
-    this), the runner calls it once per seed, and the scenario still
-    runs on (and ``auto`` still resolves to) the vectorized backend
-    (expect no speedup).
-    All modes are bit-for-bit equivalent to the event backend.
+    A kernel is one of two kinds, and which is read off the function
+    (:func:`is_direct_kernel`), never declared.  A *batched* kernel is a
+    separate function: ``fn(seeds, params)`` runs all replications of the
+    scenario at once and returns one metric dict per seed, bit-for-bit
+    equal to what the scenario's ``simulate`` returns for that seed (the
+    rules a kernel follows to keep that are listed in
+    :mod:`repro.sim.vectorized`).  A *direct* kernel is the scenario's
+    own ``simulate`` (the kernel decorator stacked on it), used when
+    nothing is worth batching: the runner calls it once per seed, and the
+    scenario still runs on (and ``auto`` still resolves to) the
+    vectorized backend.
     """
 
     fn: BatchSimulateFn | SimulateFn
-    mode: str
     note: str = ""
-
-    def __post_init__(self):
-        if self.mode not in KERNEL_MODES:
-            raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -412,6 +394,13 @@ def get_kernel(scenario_id: str) -> VectorizedKernel:
             f"no vectorized kernel for {scenario_id!r}; available: {kernel_ids()}"
         )
     return record.kernel
+
+
+def is_direct_kernel(scenario_id: str) -> bool:
+    """Whether the kernel for ``scenario_id`` is the scenario's own
+    ``simulate`` (run once per seed) rather than a batch function.
+    Raises ``KeyError`` when no kernel is registered."""
+    return get_kernel(scenario_id).fn is get_scenario(scenario_id).simulate
 
 
 def kernel_ids() -> list[str]:

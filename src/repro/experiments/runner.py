@@ -49,6 +49,7 @@ from repro.experiments.registry import (
     get_kernel,
     get_scenario,
     has_kernel,
+    is_direct_kernel,
     is_registered,
     kernel_ids,
 )
@@ -115,10 +116,10 @@ def simulate_scenario_batch(
     """Run all replications of ``scenario_id`` through its vectorized
     kernel (a ``direct`` kernel, the scenario's ``simulate``, once per
     seed).  Raises ``KeyError`` when no kernel is registered."""
-    kernel = get_kernel(scenario_id)
-    if kernel.mode == "direct":
-        return [kernel.fn(ss, params) for ss in seeds]
-    rows = kernel.fn(seeds, params)
+    fn = get_kernel(scenario_id).fn
+    if is_direct_kernel(scenario_id):
+        return [fn(ss, params) for ss in seeds]
+    rows = fn(seeds, params)
     if len(rows) != len(seeds):
         raise RuntimeError(
             f"kernel for {scenario_id} returned {len(rows)} rows for "

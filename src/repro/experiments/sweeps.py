@@ -51,6 +51,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -600,8 +601,9 @@ def check_run_options(
     check("backend", lambda v: v in BACKENDS, f"one of {BACKENDS}")
     check("level", lambda v: _number(v) and 0 < v < 1,
           "a number strictly between 0 and 1, e.g. 0.95")
-    check("target_precision", lambda v: v is None or (_number(v) and v > 0),
-          "a number > 0")
+    check("target_precision",
+          lambda v: v is None or (_number(v) and 0 < v < math.inf),
+          "a finite number > 0")
     for key in ("min_reps", "max_reps"):
         if merged[key] is not None and merged["target_precision"] is None:
             raise ValueError(f"{name(key)} requires {name('target_precision')}")

@@ -85,8 +85,10 @@ class PrecisionTarget:
                 "target"
             )
         for label, value in (("relative", self.relative), ("absolute", self.absolute)):
-            if value is not None and not value > 0:
-                raise ValueError(f"{label} precision target must be > 0, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(
+                    f"{label} precision target must be > 0 and finite, got {value}"
+                )
         if self.metrics is not None:
             object.__setattr__(self, "metrics", tuple(self.metrics))
             if not self.metrics:

@@ -27,14 +27,14 @@ replication's heterogeneous fleet on shared ``(reps, projects, states)``
 arrays), batched switching-MDP assembly, batched flow-shop recurrences,
 and a batched restart-in-state Gittins solver.
 
-The ``direct`` kernels (E2, E7, E10–E16, A2) have no primitive here:
-each is the scenario's own ``simulate``, run once per replication,
+The direct kernels (E2, E5, E7, E10–E16, E18, A2) have no primitive
+here: each is the scenario's own ``simulate``, run once per replication,
 because a second, batched implementation measured under 2x faster than
 the event path does not pay for keeping it bit-identical.  The queueing
 simulators, :func:`repro.queueing.network.simulate_network` and
 :meth:`repro.queueing.polling.PollingSystem.simulate`, are already the
-fast engines, and E13/E14 memoise their seed-free fluid analysis for
-both backends.
+fast engines; E13/E14 memoise their seed-free fluid analysis, and the
+seed-free E5/E18 their whole row, for both backends.
 
 Bitwise-equality rules the primitives rely on (verified by the
 equivalence tests, so a platform where one failed would fail loudly):

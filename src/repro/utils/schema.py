@@ -9,7 +9,11 @@ built-in packs need:
 * ``type`` — ``"object"``, ``"array"``, ``"number"``, ``"integer"``,
   ``"string"``, ``"boolean"``, ``"null"`` (or a list of these).
   Python tuples count as arrays (scenario defaults use tuples), and
-  ``bool`` is *not* an ``integer``/``number`` (JSON semantics).
+  ``bool`` is *not* an ``integer``/``number`` (JSON semantics).  JSON
+  has no infinity or NaN, so a non-finite float fails every schema it is
+  checked against: Python's ``json`` module reads ``1e999`` and
+  ``Infinity`` as ``inf``, and a simulation horizon of ``inf`` would
+  never end.
 * ``properties`` / ``required`` / ``additionalProperties`` (bool) for
   objects;
 * ``items`` (a single schema applied to every element), ``minItems``,
@@ -25,6 +29,7 @@ assemble actionable messages naming the scenario and parameter.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any, Mapping
 
@@ -89,6 +94,9 @@ def schema_errors(value: Any, schema: Mapping[str, Any], path: str = "") -> list
 
     if isinstance(value, numbers.Real):
         v = float(value)
+        if not math.isfinite(v):
+            errors.append(f"{here}: {value!r} is not a finite number")
+            return errors
         if "minimum" in schema and v < schema["minimum"]:
             errors.append(f"{here}: {value!r} is below the minimum {schema['minimum']}")
         if "maximum" in schema and v > schema["maximum"]:

@@ -7,8 +7,8 @@ scenario's ``simulate`` function returns — same keys, identical floats.
 These tests enforce that promise for every registered kernel, through
 both the raw kernel interface and the runner, plus property-based tests
 that randomise the scenario parameters of the single-machine,
-parallel-machine, heavy-traffic (E12) and polling (E15) kernels and
-the E13/E14 fluid memos.  The
+parallel-machine, heavy-traffic (E12) and polling (E15) kernels, the
+E13/E14 fluid memos and the E5/E18 row memos.  The
 queueing engines themselves (``simulate_network`` and
 ``PollingSystem.simulate``) are checked bit-for-bit against the
 heap-calendar oracles in ``tests/queueing_oracles.py`` over randomised
@@ -32,7 +32,7 @@ from repro.experiments.runner import (
     resolve_backend,
     simulate_scenario_batch,
 )
-from repro.experiments.registry import KERNEL_MODES, get_kernel, get_scenario
+from repro.experiments.registry import get_kernel, get_scenario, is_direct_kernel
 from repro.utils.rng import spawn_seed_sequences
 
 # parameter overrides that shrink the slow scenarios so the exhaustive
@@ -131,7 +131,9 @@ def test_every_kernel_id_is_a_registered_scenario():
     registered = set(scenario_ids())
     for sid in kernel_ids():
         assert sid in registered
-        assert get_kernel(sid).mode in KERNEL_MODES
+        # a kernel is the scenario's own simulate or its batch_* function
+        name = get_kernel(sid).fn.__name__
+        assert name == f"{'simulate' if is_direct_kernel(sid) else 'batch'}_{sid.lower()}"
 
 
 def test_vectorized_chunking_cannot_change_results():
@@ -377,6 +379,33 @@ def test_property_network_scenario_kernel_equivalence(
     warm = [
         simulate_scenario_batch(sid, spawn_seed_sequences(seed, 2), p) for p in points
     ]
+    for p, rows in zip(points, warm):
+        memo.cache_clear()
+        cold = [sc.simulate(ss, p) for ss in spawn_seed_sequences(seed, 2)]
+        assert_rows_identical(cold, rows, context=f"{sid} seed={seed} {p}")
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    ms=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    sid=st.sampled_from(["E5", "E18"]),
+)
+def test_property_seed_free_row_memo_matches_cleared_memo(seed, ms, sid):
+    # E5/E18 memoise their whole seed-free row (E5 per m). Rows from a
+    # warm memo must equal rows after cache_clear(), and a caller that
+    # edits its row must not edit the memo
+    from repro.experiments.packs.flowshop import _e5_row, _e18_row
+
+    memo = {"E5": _e5_row, "E18": _e18_row}[sid]
+    sc = get_scenario(sid)
+    points = [sc.params({"m": m}) for m in ms] if sid == "E5" else [sc.params()]
+    warm = [
+        simulate_scenario_batch(sid, spawn_seed_sequences(seed, 2), p) for p in points
+    ]
+    for row in warm[0]:
+        row.clear()
+    warm[0] = simulate_scenario_batch(sid, spawn_seed_sequences(seed, 2), points[0])
     for p, rows in zip(points, warm):
         memo.cache_clear()
         cold = [sc.simulate(ss, p) for ss in spawn_seed_sequences(seed, 2)]

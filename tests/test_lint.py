@@ -432,12 +432,12 @@ class TestREP011KernelScenarioPairing:
                 """Doc."""
                 return {"m": 1.0}
 
-            @PACK.kernel("X1", mode="batched")
+            @PACK.kernel("X1")
             def batch_x1(seeds, params):
                 """Doc."""
                 return [{"m": 1.0}]
 
-            @PACK.kernel("X9", mode="batched")
+            @PACK.kernel("X9")
             def batch_x9(seeds, params):
                 """Doc."""
                 return [{"m": 1.0}]

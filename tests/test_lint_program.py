@@ -244,7 +244,7 @@ class TestREP022UnregisteredKernels:
                 """Doc."""
                 return []
 
-            PACK.kernel(id="D1", mode="lockstep")(batch_d1)
+            PACK.kernel(id="D1")(batch_d1)
             '''),
         )
         assert _lint(path, select=["REP022"]) == []

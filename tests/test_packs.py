@@ -30,7 +30,6 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.store import SampleStore, store_payload
 from repro.experiments.sweep_cli import main as sweep_main
-from repro.experiments.registry import get_kernel
 from repro.utils.schema import schema_errors, validate_schema
 
 REPO = Path(__file__).parent.parent
@@ -76,8 +75,10 @@ def test_pack_info_resolves_for_every_scenario():
 def test_cli_packs_labels_every_kernel_with_its_mode(capsys):
     assert cli_main(["packs"]) == 0
     out = capsys.readouterr().out
+    batched = {"A1", "A3", "E1", "E3", "E4", "E6", "E8", "E9", "E17", "E19"}
     for sid in kernel_ids():
-        assert f"{sid} [{get_kernel(sid).mode}]" in out
+        assert f"{sid} [{'batched' if sid in batched else 'direct'}]" in out
+    assert out.count(" [batched]") == 10 and out.count(" [direct]") == 12
 
 
 def test_every_builtin_scenario_declares_a_schema():
@@ -95,17 +96,36 @@ def test_every_builtin_scenario_declares_a_schema():
 
 def test_pack_rejects_dangling_kernel():
     pack = ScenarioPack("p", "1.0")
-    pack.kernel("NOPE", mode="batched", note="-")(_sim)
+    pack.kernel("NOPE", note="-")(_sim)
     with pytest.raises(PackError, match="no.*matching scenario"):
         pack.validate()
 
 
-def test_pack_rejects_direct_kernel_that_is_not_the_scenarios_simulate():
-    pack = ScenarioPack("p", "1.0")
-    pack.scenario("X1", title="-", claim="-", verdict="-")(_sim)
-    pack.kernel("X1", mode="direct", note="-")(lambda ss, params: _sim(ss, params))
-    with pytest.raises(PackError, match="direct kernel for 'X1'.*own simulate"):
-        pack.validate()
+def test_kernel_stacked_on_simulate_lists_as_direct_and_a_separate_one_as_batched(
+    capsys, monkeypatch
+):
+    from repro.experiments import packs, register_pack, registry
+
+    # register into copies, so the catalogue other tests see stays at 22
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(packs, "_DISCOVERED", dict(packs._DISCOVERED))
+
+    def simulate_k2(ss, params):
+        return {"x": 2.0}
+
+    pack = ScenarioPack("kinds", "1.0")
+    pack.scenario("K1", title="-", claim="-", verdict="-")(_sim)
+    pack.kernel("K1", note="-")(_sim)  # stacked on the scenario's simulate
+    pack.scenario("K2", title="-", claim="-", verdict="-")(simulate_k2)
+    pack.kernel("K2", note="-")(lambda seeds, params: [{"x": 2.0} for _ in seeds])
+    register_pack(pack)
+    assert cli_main(["packs"]) == 0
+    out = capsys.readouterr().out
+    assert "kernels (2): K1 [direct], K2 [batched]" in out
+    # the runner calls a direct kernel once per seed, a batched one once
+    for sid in ("K1", "K2"):
+        res = run_scenario(sid, replications=3, seed=0, workers=1, backend="vectorized")
+        assert res.backend == "vectorized" and res.n_replications == 3
 
 
 def test_pack_rejects_bad_metadata():
@@ -209,11 +229,33 @@ def test_sweep_cli_exits_2_on_schema_invalid_axis_value(capsys):
     assert "invalid parameters for scenario E12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (cli_main, ["run", "E10", "--param", "horizon=1e999"]),
+        (sweep_main, ["run", "E10", "--axis", "horizon=1e999"]),
+        (sweep_main, ["run", "E13", "--axis", "fluid_horizon=-1e999"]),
+    ],
+)
+def test_clis_exit_2_on_non_finite_param(main, argv, capsys):
+    # regression: inf passed the schema, and E10 then simulated forever
+    # (E13 died with a traceback)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "inf is not a finite number" in err and "Traceback" not in err
+
+
 def test_schema_validator_json_semantics():
     # bools are not integers/numbers; tuples are arrays
     assert schema_errors(True, {"type": "integer"})
     assert schema_errors((1, 2), {"type": "array", "items": {"type": "integer"}}) == []
     assert schema_errors(3, {"type": "number"}) == []
+    # JSON has no infinity or NaN: non-finite floats fail whatever the bounds
+    for value in (float("inf"), float("-inf"), float("nan")):
+        (err,) = schema_errors(value, {"type": "number"}, path="x")
+        assert err.startswith("x: ") and "not a finite number" in err
+        assert schema_errors([1.0, value], {"type": "array"}) == []
+        assert schema_errors([1.0, value], {"items": {"type": "number"}})
     with pytest.raises(ValueError, match="unknown type"):
         validate_schema(1, {"type": "int"})
     errs = schema_errors(
@@ -438,7 +480,7 @@ def test_malformed_entry_point_manifest_is_skipped_with_warning(tmp_path):
     (tmp_path / "malformed_pack.py").write_text(
         "from repro.experiments.packs import ScenarioPack\n"
         "PACK = ScenarioPack('malformed', '0.1')\n"
-        "@PACK.kernel('GHOST', mode='batched', note='-')\n"
+        "@PACK.kernel('GHOST', note='-')\n"
         "def k(seeds, params):\n"
         "    return []\n"
     )

@@ -85,7 +85,7 @@ def _rejected(run):
 
 
 @settings(
-    max_examples=36,  # plus the four explicit examples: 40 in all
+    max_examples=36,  # plus the five explicit examples: 41 in all
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
@@ -96,6 +96,7 @@ def _rejected(run):
 @example(run={"target_precision": 0.1, "min_reps": 1})
 @example(run={"target_precision": 0.1, "max_reps": 4})
 @example(run={"target_precision": math.nan})
+@example(run={"target_precision": math.inf})
 def test_every_boundary_accepts_and_rejects_the_same_run_blocks(run):
     try:
         submission = parse_submission({"spec": SPEC, "run": run})
@@ -168,6 +169,23 @@ def test_repeated_key_is_refused_not_last_one_wins(main, argv, error, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip().endswith(f"error: {error}"), err
+
+
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (experiments_main, ["run", "E5"]),
+        (sweep_main, ["run", "E5", "--axis", "m=2"]),
+        (serve_main, _SUBMIT),
+    ],
+)
+def test_infinite_target_precision_is_refused(main, argv, capsys):
+    # regression: inf passed, ran adaptively, stopped at min_reps and was
+    # reported as "target_precision": null, like a fixed-n run
+    assert main(argv + ["--target-precision", "1e999"]) == 2
+    err = capsys.readouterr().err
+    assert "--target-precision must be a finite number > 0 (got inf)" in err
+    assert "Traceback" not in err
 
 
 def test_repeated_key_within_one_point_is_refused(capsys):

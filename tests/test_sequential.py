@@ -172,6 +172,9 @@ def test_precision_target_validation():
         PrecisionTarget(relative=-0.1)
     with pytest.raises(ValueError, match="must be > 0"):
         PrecisionTarget(absolute=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            PrecisionTarget(relative=value)
     with pytest.raises(ValueError, match="non-empty"):
         PrecisionTarget(relative=0.1, metrics=())
     assert PrecisionTarget.coerce(0.05).relative == 0.05

@@ -19,6 +19,7 @@ cost duplicate work at most, never change served bytes.
 """
 
 import json
+import math
 import threading
 import time
 
@@ -209,6 +210,14 @@ def test_invalid_submissions_get_structured_errors(tmp_path):
               "run": {"seed": None}}, "invalid-submission"),
             ({"spec": {"scenario_id": "E5", "axes": {"m": [2]}},
               "run": {"frobnicate": 1}}, "invalid-submission"),
+            # JSON has no inf or NaN, but Python's json reads Infinity,
+            # NaN and 1e999; an infinite horizon once wedged the worker
+            ({"spec": {"scenario_id": "E10", "axes": {"horizon": [math.inf]}}},
+             "invalid-params"),
+            ({"spec": {"scenario_id": "E13",
+                       "axes": {"fluid_horizon": [-math.inf]}}}, "invalid-params"),
+            ({"spec": {"scenario_id": "E10", "axes": {"horizon": [math.nan]}}},
+             "invalid-params"),
         ]
         for payload, expected_code in cases:
             with pytest.raises(ServeError) as exc_info:
