@@ -39,6 +39,7 @@ from repro.bandits.relaxation import (
     whittle_rule,
 )
 from repro.bandits.heterogeneous import (
+    ProjectIndexTables,
     heterogeneous_relaxation_bound,
     heterogeneous_whittle_rule,
     relaxation_bounds_and_indices,
@@ -50,6 +51,7 @@ from repro.bandits.switching import (
     optimal_switching_value,
     plain_gittins_switch_policy,
     switching_bandit_mdp,
+    switching_policy_values,
 )
 
 __all__ = [
@@ -75,6 +77,7 @@ __all__ = [
     "myopic_rule",
     "heterogeneous_relaxation_bound",
     "heterogeneous_whittle_rule",
+    "ProjectIndexTables",
     "relaxation_bounds_and_indices",
     "simulate_heterogeneous_restless",
     "switching_bandit_mdp",
@@ -82,4 +85,5 @@ __all__ = [
     "evaluate_switching_policy",
     "gittins_with_hysteresis",
     "plain_gittins_switch_policy",
+    "switching_policy_values",
 ]

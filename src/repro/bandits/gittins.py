@@ -70,6 +70,11 @@ def gittins_indices_vwb(project: MarkovProject, beta: float) -> np.ndarray:
     return gamma
 
 
+#: elements of one block's ``(restart states, n)`` iterate: a block of
+#: states runs as one stacked value iteration, so this bounds its arrays
+_RESTART_BLOCK = 1 << 20
+
+
 def gittins_indices_restart(
     project: MarkovProject, beta: float, *, tol: float = 1e-12, max_iter: int = 200_000
 ) -> np.ndarray:
@@ -79,6 +84,12 @@ def gittins_indices_restart(
     {continue, restart-to-s}; the index is ``(1 - beta) * V(s)``. O(n) value
     iterations of an n-state MDP — slower than VWB but independent, used as
     the cross-check.
+
+    The restart states run side by side, one row each, in blocks: a stacked
+    ``(k, n, n) @ (k, n, 1)`` matmul applies each row's matrix–vector
+    product and ``(k, 1, n) @ (k, n, 1)`` its restart dot bit for bit, and
+    a row is frozen at the iteration its own test passes. So every index
+    is the one that state's value iteration alone gets.
     """
     if not 0 <= beta < 1:
         raise ValueError("beta must be in [0, 1)")
@@ -88,22 +99,28 @@ def gittins_indices_restart(
     # `beta * P @ v` associates as `(beta * P) @ v`, so the scaled matrix
     # can be hoisted out of the iteration without changing a single bit
     bP = beta * P
-    amax = np.maximum.reduce
-    for s in range(n):
-        bPs = bP[s]
-        Rs = R[s]
-        v = np.zeros(n)
+    block = max(1, _RESTART_BLOCK // n)
+    for lo in range(0, n, block):
+        starts = np.arange(lo, min(lo + block, n))
+        k = starts.size
+        bPk = np.broadcast_to(bP, (k, n, n))
+        bPs = bP[starts, None, :]
+        Rs = R[starts]
+        v = np.zeros((k, n))
+        active = np.ones(k, dtype=bool)
         for _ in range(max_iter):
-            cont = R + bP @ v
-            rest = Rs + bPs @ v  # scalar: restart from s
-            v_new = np.maximum(cont, rest)
-            # np.maximum.reduce is ndarray.max without its Python wrapper,
-            # which costs as much as the arithmetic at these sizes
-            if amax(np.abs(v_new - v)) < tol * max(1.0, amax(np.abs(v_new))):
-                v = v_new
+            cont = R + (bPk @ v[..., None])[..., 0]
+            rest = Rs + (bPs @ v[..., None])[:, 0, 0]
+            v_new = np.maximum(cont, rest[:, None])
+            converged = np.abs(v_new - v).max(axis=1) < tol * np.maximum(
+                1.0, np.abs(v_new).max(axis=1)
+            )
+            # a converged row keeps the iterate it converged on
+            v = np.where(active[:, None], v_new, v)
+            active &= ~converged
+            if not active.any():
                 break
-            v = v_new
-        out[s] = (1.0 - beta) * v[s]
+        out[starts] = (1.0 - beta) * v[np.arange(k), starts]
     return out
 
 

@@ -12,11 +12,14 @@ passivity budget ``N - m``). Minimising over ``lam`` (the dual is convex)
 gives the tightest decoupled bound; the minimiser ``lam*`` is the fleet's
 shadow price of service capacity, and each project's Whittle indices are
 computed per project as usual. :func:`relaxation_bounds_and_indices` runs
-both searches for many fleets in lockstep.
+the bound's search and every index bisection of one fleet in lockstep, and
+:func:`simulate_heterogeneous_restless` rolls a fleet out under any
+state-indexed rule, such as :class:`ProjectIndexTables`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Generator, Sequence
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.core.indices import IndexRule
 __all__ = [
     "heterogeneous_relaxation_bound",
     "heterogeneous_whittle_rule",
+    "ProjectIndexTables",
     "relaxation_bounds_and_indices",
     "simulate_heterogeneous_restless",
 ]
@@ -92,58 +96,49 @@ def _dual_minimum(
     return bound, lam_star
 
 
-def _bound_searches(
-    fleets: list[list[RestlessProject]],
+def _bound_search(
+    projects: list[RestlessProject],
     m_active: int,
     tol: float,
     bracket: tuple[float, float] | None,
-) -> list[Generator]:
-    """One dual-minimum search per fleet; project ``k`` of the searches is
-    position ``k`` of the concatenated fleets."""
-    searches, first = [], 0
-    for fleet in fleets:
-        N = len(fleet)
-        if not 0 <= m_active <= N:
-            raise ValueError("need 0 <= m_active <= N")
-        if bracket is None:
-            span = max(
-                float(max(p.R1.max(), p.R0.max()) - min(p.R1.min(), p.R0.min()))
-                for p in fleet
-            )
-            span = max(span, 1.0)
-            lo, hi = -5.0 * span, 5.0 * span
-        else:
-            lo, hi = bracket
-        ks = range(first, first + N)
-        searches.append(_dual_minimum(ks, N - m_active, lo, hi, tol))
-        first += N
-    return searches
+) -> Generator:
+    """The fleet's dual-minimum search; project ``k`` is ``projects[k]``."""
+    N = len(projects)
+    if not 0 <= m_active <= N:
+        raise ValueError("need 0 <= m_active <= N")
+    if bracket is None:
+        span = max(
+            float(max(p.R1.max(), p.R0.max()) - min(p.R1.min(), p.R0.min()))
+            for p in projects
+        )
+        span = max(span, 1.0)
+        lo, hi = -5.0 * span, 5.0 * span
+    else:
+        lo, hi = bracket
+    return _dual_minimum(range(N), N - m_active, lo, hi, tol)
 
 
 def relaxation_bounds_and_indices(
-    fleets: Sequence[Sequence[RestlessProject]], m_active: int
-) -> tuple[list[tuple[float, float]], list[list[np.ndarray]]]:
-    """Everything E19 derives from its fleets, in one lockstep run: each
+    projects: Sequence[RestlessProject], m_active: int
+) -> tuple[tuple[float, float], list[np.ndarray]]:
+    """Everything E19 derives from its fleet, in one lockstep run: the
     fleet's ``(bound, lam_star)`` (:func:`heterogeneous_relaxation_bound`)
-    and each of its projects' average-criterion Whittle index table
+    and each project's average-criterion Whittle index table
     (:func:`heterogeneous_whittle_rule`).
 
-    Every fleet's golden-section search and every Whittle bisection
-    advance one step per round, and each round's distinct subsidy solves
-    — bound and index solves alike — form one stacked
-    relative-value-iteration call. Each result is bit-for-bit the one the
-    fleet or project solved alone gets.
+    The golden-section search and every Whittle bisection advance one step
+    per round, and each round's distinct subsidy solves — bound and index
+    solves alike — form one stacked relative-value-iteration call. Each
+    result is bit-for-bit the one the fleet or project solved alone gets.
     """
-    fleets = [list(fleet) for fleet in fleets]
-    projects = [p for fleet in fleets for p in fleet]
-    # the default tolerances of the one-fleet and one-project calls
+    projects = list(projects)
+    # the default tolerances of the bound and the index-table calls
     search = _gather([
-        _gather(_bound_searches(fleets, m_active, 1e-5, None)),
+        _bound_search(projects, m_active, 1e-5, None),
         _gather([_whittle(k, p, 1e-6) for k, p in enumerate(projects)]),
     ])
-    bounds, tables = _drive(search, _SubsidyProblems(projects).solve)
-    first = np.cumsum([0] + [len(fleet) for fleet in fleets])
-    return bounds, [tables[i:j] for i, j in zip(first[:-1], first[1:])]
+    bound, tables = _drive(search, _SubsidyProblems(projects).solve)
+    return bound, tables
 
 
 def heterogeneous_relaxation_bound(
@@ -159,26 +154,28 @@ def heterogeneous_relaxation_bound(
     Returns ``(bound_total_per_epoch, lam_star)``. The dual function
     ``L(lam)`` is convex and piecewise linear; it is minimised by golden-
     section search over an automatically expanded bracket.
-    :func:`relaxation_bounds_and_indices` runs the same search for many
-    fleets at once.
+    :func:`relaxation_bounds_and_indices` runs the same search side by side
+    with the fleet's Whittle bisections.
     """
     projects = list(projects)
-    (search,) = _bound_searches([projects], m_active, tol, bracket)
+    search = _bound_search(projects, m_active, tol, bracket)
     return _drive(search, _SubsidyProblems(projects).solve)
 
 
-class _HeterogeneousWhittle(IndexRule):
-    """Per-project Whittle tables keyed by project position."""
+class ProjectIndexTables(IndexRule):
+    """An index rule given by one table per project: project ``k`` in
+    state ``s`` has index ``tables[k][s]``."""
 
-    def __init__(self, tables: list[np.ndarray]):
-        self._tables = tables
+    def __init__(self, tables: Sequence[np.ndarray], name: str):
+        self._tables = list(tables)
+        self._name = name
 
     def index(self, item, state=None):
         return float(self._tables[int(item)][0 if state is None else int(state)])
 
     @property
     def name(self):
-        return "Whittle[heterogeneous]"
+        return self._name
 
 
 def heterogeneous_whittle_rule(
@@ -187,7 +184,7 @@ def heterogeneous_whittle_rule(
     """Whittle-index rule for a heterogeneous fleet: each project gets its
     own index table; the policy activates the m projects of highest current
     index across the fleet."""
-    return _HeterogeneousWhittle(whittle_index_tables(projects, **kwargs))
+    return ProjectIndexTables(whittle_index_tables(projects, **kwargs), "Whittle[heterogeneous]")
 
 
 def simulate_heterogeneous_restless(
@@ -200,31 +197,41 @@ def simulate_heterogeneous_restless(
     warmup: int = 0,
 ) -> float:
     """Average total reward per epoch of a priority rule on a heterogeneous
-    fleet (cf. :func:`repro.bandits.relaxation.simulate_restless`, which is
-    the vectorised homogeneous special case)."""
+    fleet (cf. :func:`repro.bandits.relaxation.simulate_restless`, the
+    homogeneous special case).
+
+    The rule is read once per (project, state), so it may depend on the
+    state only, as in :func:`~repro.bandits.relaxation.simulate_restless`.
+    Each epoch activates the ``m_active`` largest indices (ties to the
+    lowest id), draws ``rng.random(N)`` once, and moves project ``k`` to
+    the first state whose cumulative transition probability exceeds its
+    draw; the epoch reward adds up in ascending project id.
+    """
     N = len(projects)
     if not 0 <= m_active <= N:
         raise ValueError("need 0 <= m_active <= N")
-    states = [0] * N
+    index = [[rule.index(k, s) for s in range(p.n_states)] for k, p in enumerate(projects)]
+    # per project, (passive, active) rewards and cumulative transition rows
+    rewards = [(p.R0.tolist(), p.R1.tolist()) for p in projects]
     cums = [
-        (np.cumsum(p.P0, axis=1), np.cumsum(p.P1, axis=1)) for p in projects
+        (np.cumsum(p.P0, axis=1).tolist(), np.cumsum(p.P1, axis=1).tolist())
+        for p in projects
     ]
+    states = [0] * N
     total = 0.0
     counted = 0
     for t in range(horizon):
-        prio = np.array([rule.index(k, states[k]) for k in range(N)])
-        order = np.lexsort((np.arange(N), -prio))
-        active = set(order[:m_active].tolist())
+        prio = [index[k][s] for k, s in enumerate(states)]
+        # a stable descending sort keeps equal indices in ascending id
+        active = [0] * N
+        for k in sorted(range(N), key=prio.__getitem__, reverse=True)[:m_active]:
+            active[k] = 1
         reward = 0.0
-        u = rng.random(N)
+        u = rng.random(N).tolist()
         for k in range(N):
-            p = projects[k]
-            if k in active:
-                reward += p.R1[states[k]]
-                states[k] = int(np.searchsorted(cums[k][1][states[k]], u[k], side="right"))
-            else:
-                reward += p.R0[states[k]]
-                states[k] = int(np.searchsorted(cums[k][0][states[k]], u[k], side="right"))
+            a, s = active[k], states[k]
+            reward += rewards[k][a][s]
+            states[k] = bisect_right(cums[k][a][s], u[k])
         if t >= warmup:
             total += reward
             counted += 1

@@ -22,17 +22,18 @@ interchange-argument construction in :mod:`repro.queueing.mg1` must match.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.conservation import (
-    priority_performance_vector,
-    workload_set_function,
-)
+from repro.core.conservation import workload_set_function
 
 __all__ = ["achievable_region_lp", "AchievableRegionSolution"]
+
+#: elements of one block's ``(orders, classes)`` arrays in the vertex scan
+_ORDER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,51 @@ def achievable_region_lp(
     W = (x - lam * m2 / 2.0) / np.where(rho > 0, rho, 1.0)
     cost = float(np.dot(c, lam * (W + ms)))
 
-    # identify the priority order realising this vertex
-    best_order, best_err = None, np.inf
-    for order in itertools.permutations(range(n)):
-        W_ord = priority_performance_vector(lam, ms, m2, order)
-        err = float(np.max(np.abs(W_ord - W)))
-        if err < best_err:
-            best_err, best_order = err, order
+    best_order = _closest_priority_order(lam, m2, rho, W)
     return AchievableRegionSolution(
         workloads=x,
         waiting_times=W,
         optimal_cost=cost,
-        priority_order=tuple(best_order),
+        priority_order=best_order,
     )
+
+
+def _closest_priority_order(
+    lam: np.ndarray, m2: np.ndarray, rho: np.ndarray, W: np.ndarray
+) -> tuple:
+    """The first strict priority order, in ``itertools.permutations``
+    order, whose Cobham waiting times lie closest to ``W`` in max norm.
+
+    The orders are scanned in blocks sharing a prefix, a block's
+    ``sigma``/``W_k`` recurrence running down a column per priority
+    position. Each order's floats are the ones
+    :func:`repro.core.conservation.priority_performance_vector` computes
+    for it, and ``argmin`` keeps the first minimum within a block as the
+    strict ``<`` across blocks does, so ties go to the earliest order.
+    """
+    n = lam.size
+    w0 = float(np.sum(lam * m2) / 2.0)
+    depth = 0
+    while depth < n and math.factorial(n - depth) * n > _ORDER_BLOCK:
+        depth += 1
+    tails = np.array(list(itertools.permutations(range(n - depth))), dtype=np.intp)
+    best_order, best_err = None, np.inf
+    for head in itertools.permutations(range(n), depth):
+        rest = np.array(sorted(set(range(n)) - set(head)), dtype=np.intp)
+        # itertools.permutations is lexicographic, so the orders extending
+        # `head` are its remaining classes permuted as range(n - depth) is
+        block = np.concatenate(
+            [np.broadcast_to(np.array(head, dtype=np.intp), (len(tails), depth)), rest[tails]],
+            axis=1,
+        )
+        sigma_prev = np.zeros(len(block))
+        err = np.zeros(len(block))
+        for cls in block.T:
+            sigma_k = sigma_prev + rho[cls]
+            waits = w0 / ((1.0 - sigma_prev) * (1.0 - sigma_k))
+            err = np.maximum(err, np.abs(waits - W[cls]))
+            sigma_prev = sigma_k
+        i = int(np.argmin(err))
+        if err[i] < best_err:
+            best_err, best_order = err[i], tuple(int(j) for j in block[i])
+    return best_order

@@ -1,4 +1,4 @@
-"""Helpers shared by the built-in scenario-pack kernel implementations."""
+"""Helpers shared by the built-in scenario packs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,12 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["_float_rows"]
+__all__ = ["_float_rows", "_HORIZON"]
+
+#: param schema of a simulated-time horizon: one replication's run time
+#: grows with it, so it is capped 10x past the largest horizon a default,
+#: test or benchmark uses (A2's 20000)
+_HORIZON = {"type": "number", "exclusiveMinimum": 0, "maximum": 2e5}
 
 
 def _float_rows(columns: Mapping[str, np.ndarray], n: int) -> list[dict[str, float]]:

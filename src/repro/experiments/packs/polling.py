@@ -11,6 +11,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.experiments.packs import ScenarioPack
+from repro.experiments.packs._shared import _HORIZON
 from repro.utils.rng import crn_generators
 
 Params = Mapping[str, Any]
@@ -19,7 +20,7 @@ _SCHEMAS = {
     "E15": {
         "type": "object",
         "properties": {
-            "horizon": {"type": "number", "exclusiveMinimum": 0},
+            "horizon": _HORIZON,
             "switchover_means": {
                 "type": "array",
                 "items": {"type": "number", "minimum": 0},

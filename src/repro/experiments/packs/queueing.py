@@ -11,27 +11,32 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.experiments.packs import ScenarioPack
+from repro.experiments.packs._shared import _HORIZON
 from repro.utils.rng import crn_generators
 
 Params = Mapping[str, Any]
-Seeds = Sequence[np.random.SeedSequence]
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
+# the fluid integrator takes fluid_horizon / fluid_dt Euler steps and keeps
+# them all: both are capped 10x past the values in use (E14's horizon 120,
+# step 0.01)
+_FLUID_DT = {"type": "number", "minimum": 1e-3}
+_FLUID_HORIZON = {"type": "number", "exclusiveMinimum": 0, "maximum": 1200}
 
 _SCHEMAS = {
     "E10": {
         "type": "object",
-        "properties": {"horizon": _POS, "conservation_rtol": _POS},
+        "properties": {"horizon": _HORIZON, "conservation_rtol": _POS},
         "additionalProperties": False,
     },
     "E11": {
         "type": "object",
-        "properties": {"horizon": _POS},
+        "properties": {"horizon": _HORIZON},
         "additionalProperties": False,
     },
     "E12": {
@@ -49,21 +54,21 @@ _SCHEMAS = {
                 },
                 "minItems": 1,
             },
-            "horizon": _POS,
+            "horizon": _HORIZON,
         },
         "additionalProperties": False,
     },
     "E13": {
         "type": "object",
         "properties": {
-            "horizon": _POS, "fluid_dt": _POS, "fluid_horizon": _POS,
+            "horizon": _HORIZON, "fluid_dt": _FLUID_DT, "fluid_horizon": _FLUID_HORIZON,
         },
         "additionalProperties": False,
     },
     "E14": {
         "type": "object",
         "properties": {
-            "horizon": _POS, "fluid_dt": _POS, "fluid_horizon": _POS,
+            "horizon": _HORIZON, "fluid_dt": _FLUID_DT, "fluid_horizon": _FLUID_HORIZON,
         },
         "additionalProperties": False,
     },
@@ -73,13 +78,14 @@ _SCHEMAS = {
             "rho": {
                 "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
             },
-            "horizon": _POS,
+            "horizon": _HORIZON,
         },
         "additionalProperties": False,
     },
     "A3": {
         "type": "object",
-        "properties": {"n_classes": {"type": "integer", "minimum": 1}},
+        # achievable_region_lp's limit: 2^n constraints and an n! vertex scan
+        "properties": {"n_classes": {"type": "integer", "minimum": 1, "maximum": 12}},
         "additionalProperties": False,
     },
 }
@@ -565,6 +571,13 @@ def simulate_a2(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     }
 
 
+@PACK.kernel(
+    "A3",
+    note="the priority-order scan is one blocked array pass and each replication's "
+    "HiGHS LP must run alone, so the deleted batched copy ran only 1.6x "
+    "faster than this path (measured at 16 replications), under the 2x a second "
+    "bit-identical implementation must earn",
+)
 @PACK.scenario(
     "A3",
     title="Ablation: achievable-region LP route to the cµ rule",
@@ -608,112 +621,3 @@ def simulate_a3(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
         "cost_rel_gap": float(abs(sol.optimal_cost / exact - 1.0)),
         "orders_match": float(list(sol.priority_order) == list(order)),
     }
-
-
-# ---------------------------------------------------------------------------
-# vectorized kernels
-# ---------------------------------------------------------------------------
-
-
-@PACK.kernel(
-    "A3",
-    note="the polymatroid constraint assembly and the 120-permutation "
-    "Cobham vertex scan are batched across replications; each "
-    "replication's LP keeps its own exact HiGHS solve",
-)
-def batch_a3(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``batched`` kernel for A3: runs all replications at once on arrays with a replication axis;
-    bit-for-bit equal to ``simulate_a3`` on the same seeds.
-    """
-    from scipy.optimize import linprog
-
-    from repro.distributions import Exponential
-    from repro.queueing.mg1 import optimal_average_cost
-
-    n = int(params["n_classes"])
-    N = len(seeds)
-    lam = np.empty((N, n))
-    mus = np.empty((N, n))
-    c = np.empty((N, n))
-    for r, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        lam[r] = rng.uniform(0.02, 0.8 / n, size=n)
-        # the event path draws each service rate with its own scalar call
-        mus[r] = [rng.uniform(0.8, 3.0) for _ in range(n)]
-        c[r] = rng.uniform(0.3, 3.0, size=n)
-    svcs = [[Exponential(mus[r, j]) for j in range(n)] for r in range(N)]
-    ms = 1.0 / mus  # Exponential.mean
-    m2 = np.stack(
-        [[s.second_moment for s in row] for row in svcs]
-    )  # base-class 2/rate^2 route, computed identically per class
-    rho = lam * ms
-
-    # batched workload set function b(S) for every proper subset + full set
-    def b_of(S: list[int]) -> np.ndarray:
-        rhoS = rho[:, S].sum(axis=1)
-        w0_full = (lam * m2).sum(axis=1) / 2.0
-        w0S = (lam[:, S] * m2[:, S]).sum(axis=1) / 2.0
-        return rhoS * (w0_full / (1.0 - rhoS)) + w0S
-
-    subsets = [
-        list(S)
-        for r_ in range(1, n)
-        for S in itertools.combinations(range(n), r_)
-    ]
-    A_ub = np.zeros((len(subsets), n))
-    for i, S in enumerate(subsets):
-        A_ub[i, S] = -1.0
-    b_ub_all = np.stack([-b_of(S) for S in subsets], axis=1)  # (N, n_subsets)
-    b_eq_all = b_of(list(range(n)))
-    A_eq = np.ones((1, n))
-    coeff = c / ms
-
-    x = np.empty((N, n))
-    for r in range(N):
-        res = linprog(
-            coeff[r],
-            A_ub=A_ub,
-            b_ub=b_ub_all[r],
-            A_eq=A_eq,
-            b_eq=np.array([b_eq_all[r]]),
-            bounds=[(0, None)] * n,
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"achievable-region LP failed: {res.message}")
-        x[r] = np.asarray(res.x)
-    W = (x - lam * m2 / 2.0) / np.where(rho > 0, rho, 1.0)
-    lp_cost = np.empty(N)
-    for r in range(N):
-        lp_cost[r] = np.dot(c[r], lam[r] * (W[r] + ms[r]))
-
-    # batched Cobham vertex identification over all permutations
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    w0 = (lam * m2).sum(axis=1) / 2.0  # same np.sum reduction as the scalar path
-    waits = np.empty((N, len(perms), n))
-    sigma_prev = np.zeros((N, len(perms)))
-    for pos in range(n):
-        cls = perms[:, pos]  # (n_perms,)
-        rho_cls = rho[:, cls]  # (N, n_perms)
-        sigma_k = sigma_prev + rho_cls
-        vals = w0[:, None] / ((1.0 - sigma_prev) * (1.0 - sigma_k))
-        np.put_along_axis(
-            waits, np.broadcast_to(cls[None, :, None], (N, len(perms), 1)),
-            vals[:, :, None], axis=2
-        )
-        sigma_prev = sigma_k
-    errs = np.max(np.abs(waits - W[:, None, :]), axis=2)
-    best_idx = np.argmin(errs, axis=1)  # first minimum, like the strict < scan
-
-    rows = []
-    for r, ss in enumerate(seeds):
-        exact, order = optimal_average_cost(lam[r], svcs[r], c[r])
-        sol_order = [int(j) for j in perms[best_idx[r]]]
-        rows.append(
-            {
-                "lp_cost": float(lp_cost[r]),
-                "cost_rel_gap": float(abs(lp_cost[r] / exact - 1.0)),
-                "orders_match": float(sol_order == list(order)),
-            }
-        )
-    return rows

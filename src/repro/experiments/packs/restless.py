@@ -2,7 +2,8 @@
 
 Whittle-index near-optimality against the LP relaxation bound on growing
 homogeneous fleets, and heterogeneous fleets against the Lagrangian dual
-bound — driven by the lockstep fleet-rollout vectorized kernels.
+bound — with a lockstep fleet-rollout kernel for E8 and a ``direct`` one
+for E19.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ import numpy as np
 
 from repro.experiments.packs import ScenarioPack
 from repro.experiments.packs._shared import _float_rows
-from repro.sim.vectorized import (
-    lockstep_heterogeneous_rollouts,
-    lockstep_restless_rollouts,
-)
+from repro.sim.vectorized import lockstep_restless_rollouts
 
 Params = Mapping[str, Any]
 Seeds = Sequence[np.random.SeedSequence]
@@ -146,6 +144,13 @@ def simulate_e8(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     }
 
 
+@PACK.kernel(
+    "E19",
+    note="the bound search and every Whittle bisection share one lockstep run and "
+    "the rollouts step on Python lists, so the deleted batched copy ran only "
+    "1.1x faster than this path (measured on 2 replications at horizon 400), under "
+    "the 2x a second bit-identical implementation must earn",
+)
 @PACK.scenario(
     "E19",
     title="Heterogeneous restless fleets vs the Lagrangian bound",
@@ -175,23 +180,11 @@ def simulate_e19(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     dictionary the registry entry's shape checks are evaluated on.
     """
     from repro.bandits import (
-        heterogeneous_relaxation_bound,
-        heterogeneous_whittle_rule,
+        ProjectIndexTables,
         random_restless_project,
+        relaxation_bounds_and_indices,
         simulate_heterogeneous_restless,
     )
-    from repro.core.indices import IndexRule
-
-    class MyopicHet(IndexRule):
-        def __init__(self, projects):
-            self._gaps = [p.R1 - p.R0 for p in projects]
-
-        def index(self, item, state=None):
-            return float(self._gaps[int(item)][0 if state is None else int(state)])
-
-        @property
-        def name(self):
-            return "Myopic[het]"
 
     rng = np.random.default_rng(ss)
     projects = [
@@ -200,15 +193,16 @@ def simulate_e19(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
     ]
     m = int(params["m"])
     horizon, warmup = int(params["horizon"]), int(params["warmup"])
-    bound, lam_star = heterogeneous_relaxation_bound(projects, m)
-    w_rule = heterogeneous_whittle_rule(projects, criterion="average")
+    (bound, lam_star), tables = relaxation_bounds_and_indices(projects, m)
+    w_rule = ProjectIndexTables(tables, "Whittle[heterogeneous]")
+    m_rule = ProjectIndexTables([p.R1 - p.R0 for p in projects], "Myopic[het]")
 
     sim_w, sim_m = rng.spawn(2)
     whittle = simulate_heterogeneous_restless(
         projects, m, w_rule, horizon, sim_w, warmup=warmup
     )
     myopic = simulate_heterogeneous_restless(
-        projects, m, MyopicHet(projects), horizon, sim_m, warmup=warmup
+        projects, m, m_rule, horizon, sim_m, warmup=warmup
     )
     return {
         "bound": float(bound),
@@ -288,61 +282,6 @@ def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
             "min_gap": gaps.min(axis=0),
             "whittle_large_n": whittle_large,
             "myopic": myop,
-        },
-        N,
-    )
-
-
-@PACK.kernel(
-    "E19",
-    note="the Lagrangian-bound golden-section searches and the Whittle "
-    "bisections of every replication's fleet advance one step per round, "
-    "each round one stacked relative-value-iteration solve; both policy "
-    "rollouts advance all fleets in lockstep on stacked (reps, projects, "
-    "states) arrays",
-)
-def batch_e19(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``batched`` kernel for E19: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_e19`` on the same seeds.
-    """
-    from repro.bandits import random_restless_project, relaxation_bounds_and_indices
-
-    n_proj, n_states = int(params["n_projects"]), int(params["n_states"])
-    m = int(params["m"])
-    horizon, warmup = int(params["horizon"]), int(params["warmup"])
-    N = len(seeds)
-
-    fleets, sims_w, sims_m = [], [], []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        fleets.append([random_restless_project(n_states, rng) for _ in range(n_proj)])
-        sw, sm = rng.spawn(2)
-        sims_w.append(sw)
-        sims_m.append(sm)
-    projects = [p for fleet in fleets for p in fleet]
-    fleet_bounds, tables = relaxation_bounds_and_indices(fleets, m)
-    bounds, shadow = np.array(fleet_bounds, dtype=float).reshape(N, 2).T
-    S = (N, n_proj, n_states)
-    # heterogeneous_whittle_rule computes exactly these per-project
-    # tables; the rollout reads them as floats, like rule.index does
-    w_tables = np.array(tables, dtype=float).reshape(S)
-    myop_tables = np.array([p.R1 - p.R0 for p in projects]).reshape(S)
-    cum0 = np.array([np.cumsum(p.P0, axis=1) for p in projects]).reshape(S + (n_states,))
-    cum1 = np.array([np.cumsum(p.P1, axis=1) for p in projects]).reshape(S + (n_states,))
-    R0 = np.array([p.R0 for p in projects]).reshape(S)
-    R1 = np.array([p.R1 for p in projects]).reshape(S)
-    whittle = lockstep_heterogeneous_rollouts(
-        w_tables, cum0, cum1, R0, R1, m, horizon, sims_w, warmup=warmup
-    )
-    myopic = lockstep_heterogeneous_rollouts(
-        myop_tables, cum0, cum1, R0, R1, m, horizon, sims_m, warmup=warmup
-    )
-    return _float_rows(
-        {
-            "bound": bounds,
-            "shadow_price": shadow,
-            "whittle_frac": whittle / bounds,
-            "myopic_frac": myopic / bounds,
         },
         N,
     )

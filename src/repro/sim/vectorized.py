@@ -18,23 +18,20 @@ request to the backend that runs
 The kernels themselves are defined in the scenario packs under
 :mod:`repro.experiments.packs` and registered beside their scenarios in
 :mod:`repro.experiments.registry`.  What lives here are the **generic
-batched primitives** — scenario-agnostic numerics shared by the kernels:
-batched sequence flowtimes and brute-force permutation minima, the
-batched subset DP for exponential parallel machines, lockstep
-restless-fleet rollouts for E8 and E19 (all replications advance one
-epoch per step; :func:`lockstep_heterogeneous_rollouts` advances every
-replication's heterogeneous fleet on shared ``(reps, projects, states)``
-arrays), batched switching-MDP assembly, batched flow-shop recurrences,
-and a batched restart-in-state Gittins solver.
+batched primitives** — scenario-agnostic numerics shared by the
+``batched`` kernels: batched sequence flowtimes and brute-force
+permutation minima, the batched subset DP for exponential parallel
+machines, lockstep restless-fleet rollouts for E8 (all replications
+advance one epoch per step), batched flow-shop recurrences, and batched
+stochastic-order certification.
 
-The direct kernels (E2, E5, E7, E10–E16, E18, A2) have no primitive
-here: each is the scenario's own ``simulate``, run once per replication,
-because a second, batched implementation measured under 2x faster than
-the event path does not pay for keeping it bit-identical.  The queueing
-simulators, :func:`repro.queueing.network.simulate_network` and
-:meth:`repro.queueing.polling.PollingSystem.simulate`, are already the
-fast engines; E13/E14 memoise their seed-free fluid analysis, and the
-seed-free E5/E18 their whole row, for both backends.
+A ``direct`` kernel is the scenario's own ``simulate``, run once per
+replication, and has no primitive here; ``repro-experiments packs``
+lists which kernels are which.  A batched kernel is kept only while it
+beats its event path by 2x or more, as measured by the a04 benchmark
+(``benchmarks/bench_a04_vectorized_speedup.py``): a second
+implementation under that does not pay for keeping it bit-identical, so
+the event path is made faster instead and the kernel becomes ``direct``.
 
 Bitwise-equality rules the primitives rely on (verified by the
 equivalence tests, so a platform where one failed would fail loudly):
@@ -84,11 +81,8 @@ __all__ = [
     "min_flowtime_over_permutations",
     "subset_dp_batch",
     "lockstep_restless_rollouts",
-    "lockstep_heterogeneous_rollouts",
-    "batched_switching_mdp",
     "exponential_family_st_ordered",
     "flowshop_makespan_batch",
-    "restart_gittins_batch",
 ]
 
 # ---------------------------------------------------------------------------
@@ -347,117 +341,6 @@ def lockstep_restless_rollouts(
 
 
 # ---------------------------------------------------------------------------
-# Batched switching-MDP assembly (E9 family)
-# ---------------------------------------------------------------------------
-
-
-def batched_switching_mdp(
-    Ps: Sequence[np.ndarray], Rs: Sequence[np.ndarray], cost: float
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Batched switching-cost bandit MDP (joint states x incumbent).
-
-    Mirrors :func:`repro.bandits.switching.switching_bandit_mdp` slice by
-    slice: state ``(core, inc)`` under action ``a`` pays the project
-    reward minus ``cost`` when ``a`` differs from a real incumbent, and
-    moves to ``(core', a)``.
-    """
-    if cost < 0:
-        raise ValueError("cost must be nonnegative")
-    A = len(Ps)
-    sizes = [P.shape[-1] for P in Ps]
-    N = Ps[0].shape[0]
-    cores = list(itertools.product(*[range(sz) for sz in sizes]))
-    incumbents = [-1] + list(range(A))
-    states = [(c, inc) for c in cores for inc in incumbents]
-    index_of = {s: i for i, s in enumerate(states)}
-    S = len(states)
-    T = np.zeros((N, A, S, S))
-    R = np.zeros((N, A, S))
-    for i, (core, inc) in enumerate(states):
-        for a in range(A):
-            pay = Rs[a][:, core[a]]
-            if a != inc and inc != -1:
-                pay = pay - cost
-            R[:, a, i] = pay
-            nxt_core = list(core)
-            cols = np.empty(sizes[a], dtype=np.intp)
-            for nxt_local in range(sizes[a]):
-                nxt_core[a] = nxt_local
-                cols[nxt_local] = index_of[(tuple(nxt_core), a)]
-            T[:, a, i, cols] = Ps[a][:, core[a], :]
-    return T, R, states
-
-
-# ---------------------------------------------------------------------------
-# Lockstep heterogeneous restless-fleet rollouts (E19 family)
-# ---------------------------------------------------------------------------
-
-
-def lockstep_heterogeneous_rollouts(
-    idx_tables: np.ndarray,
-    cum0: np.ndarray,
-    cum1: np.ndarray,
-    R0: np.ndarray,
-    R1: np.ndarray,
-    m_active: int,
-    horizon: int,
-    rngs: Sequence[np.random.Generator],
-    *,
-    warmup: int = 0,
-) -> np.ndarray:
-    """All replications of a *heterogeneous* restless-fleet rollout
-    advanced in lockstep (cf. :func:`lockstep_restless_rollouts`, whose
-    projects are i.i.d. and shared across the fleet).
-
-    Every array stacks replications on axis 0 and the fleet's projects on
-    axis 1: ``idx_tables``/``R0``/``R1`` are ``(N, K, S)`` and
-    ``cum0``/``cum1`` are the row-cumsum transition matrices ``(N, K, S,
-    S)``.  Each replication draws ``rngs[r].random(K)`` once per epoch —
-    the single draw
-    :func:`repro.bandits.heterogeneous.simulate_heterogeneous_restless`
-    makes — and the per-epoch reward is accumulated project-by-project in
-    ascending id order, exactly like the event path's scalar loop.
-    Returns the per-replication average total reward per epoch after
-    ``warmup``, shape ``(N,)``.
-    """
-    N, K, S = idx_tables.shape
-    if not 0 <= m_active <= K:
-        raise ValueError("need 0 <= m_active <= n_projects")
-    if horizon <= warmup:
-        raise ValueError("horizon must exceed warmup")
-    if len(rngs) != N:
-        raise ValueError("need one generator per replication")
-    reps = np.arange(N)[:, None]
-    projs = np.arange(K)[None, :]
-    states = np.zeros((N, K), dtype=np.int64)
-    totals = np.zeros(N)
-    u = np.empty((N, K))
-    for t in range(horizon):
-        prio = idx_tables[reps, projs, states]
-        # stable argsort == lexsort((arange, -prio)): ties to lowest id
-        order = np.argsort(-prio, axis=1, kind="stable")
-        active = np.zeros((N, K), dtype=bool)
-        np.put_along_axis(active, order[:, :m_active], True, axis=1)
-        # the event path sums rewards with `reward += ...` over ascending
-        # project ids; accumulate column-by-column to reproduce the exact
-        # float addition order for any fleet size
-        rew = np.where(active, R1[reps, projs, states], R0[reps, projs, states])
-        reward = rew[:, 0].copy()
-        for k in range(1, K):
-            reward += rew[:, k]
-        for r in range(N):
-            u[r] = rngs[r].random(K)
-        cums = np.where(
-            active[:, :, None], cum1[reps, projs, states], cum0[reps, projs, states]
-        )
-        # searchsorted(cum, u, side="right") == #{cum entries <= u}
-        states = (u[:, :, None] >= cums).sum(axis=2)
-        if t >= warmup:
-            totals += reward
-    return totals / (horizon - warmup)
-
-
-# ---------------------------------------------------------------------------
 # Batched flow-shop recurrences (E17 family)
 # ---------------------------------------------------------------------------
 
@@ -502,56 +385,6 @@ def flowshop_makespan_batch(
                 dep[k + 1] = finish
         prev_dep = dep
     return prev_dep[m]
-
-
-# ---------------------------------------------------------------------------
-# Batched restart-in-state Gittins indices (A1 family)
-# ---------------------------------------------------------------------------
-
-
-def restart_gittins_batch(
-    Ps: np.ndarray,
-    Rs: np.ndarray,
-    beta: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200_000,
-) -> np.ndarray:
-    """Batched :func:`repro.bandits.gittins.gittins_indices_restart`.
-
-    ``Ps`` is ``(N, n, n)`` (one project transition matrix per
-    replication) and ``Rs`` is ``(N, n)``.  For each restart state the
-    value iteration runs over the whole batch at once — the stacked
-    ``(N, n, n) @ (N, n, 1)`` matmul applies the per-slice matrix–vector
-    product bit-for-bit — with converged replications frozen (they took
-    their final ``v = v_new`` assignment, exactly like the scalar break).
-    Returns the ``(N, n)`` index tables.
-    """
-    if not 0 <= beta < 1:
-        raise ValueError("beta must be in [0, 1)")
-    Ps = np.asarray(Ps, dtype=float)
-    Rs = np.asarray(Rs, dtype=float)
-    N, n, _ = Ps.shape
-    bP = beta * Ps
-    out = np.empty((N, n))
-    for s in range(n):
-        bPs = bP[:, s, :]
-        Rsv = Rs[:, s]
-        v = np.zeros((N, n))
-        active = np.ones(N, dtype=bool)
-        for _ in range(max_iter):
-            cont = Rs + (bP @ v[..., None])[..., 0]
-            rest = Rsv + (bPs[:, None, :] @ v[:, :, None])[:, 0, 0]
-            v_new = np.maximum(cont, rest[:, None])
-            converged = np.abs(v_new - v).max(axis=1) < tol * np.maximum(
-                1.0, np.abs(v_new).max(axis=1)
-            )
-            v = np.where(active[:, None], v_new, v)
-            active &= ~converged
-            if not active.any():
-                break
-        out[:, s] = (1.0 - beta) * v[:, s]
-    return out
 
 
 # ---------------------------------------------------------------------------

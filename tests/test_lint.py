@@ -700,7 +700,7 @@ class TestCommittedTree:
 
     def test_injected_schema_defaults_mismatch_caught(self, tmp_path, capsys):
         text = POLLING.read_text()
-        needle = '"horizon": {"type": "number", "exclusiveMinimum": 0},'
+        needle = '"horizon": _HORIZON,'
         assert needle in text  # keep the injection aligned with the source
         bad = text.replace(needle, needle.replace('"horizon"', '"horizonx"'))
         target = tmp_path / "repro" / "experiments" / "packs" / "polling.py"

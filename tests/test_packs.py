@@ -75,10 +75,10 @@ def test_pack_info_resolves_for_every_scenario():
 def test_cli_packs_labels_every_kernel_with_its_mode(capsys):
     assert cli_main(["packs"]) == 0
     out = capsys.readouterr().out
-    batched = {"A1", "A3", "E1", "E3", "E4", "E6", "E8", "E9", "E17", "E19"}
+    batched = {"E1", "E3", "E4", "E6", "E8", "E17"}
     for sid in kernel_ids():
         assert f"{sid} [{'batched' if sid in batched else 'direct'}]" in out
-    assert out.count(" [batched]") == 10 and out.count(" [direct]") == 12
+    assert out.count(" [batched]") == 6 and out.count(" [direct]") == 16
 
 
 def test_every_builtin_scenario_declares_a_schema():
@@ -243,6 +243,33 @@ def test_clis_exit_2_on_non_finite_param(main, argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "inf is not a finite number" in err and "Traceback" not in err
+
+
+# each bound that caps one replication's run time or memory: the largest
+# value accepted, and one just past it
+_SIZE_BOUNDS = [
+    ("A3", "n_classes", 12, 13),
+    *[
+        (sid, "horizon", 2e5, 2.0001e5)
+        for sid in ("A2", "E10", "E11", "E12", "E13", "E14", "E15")
+    ],
+    *[(sid, "fluid_horizon", 1200.0, 1200.5) for sid in ("E13", "E14")],
+    *[(sid, "fluid_dt", 1e-3, 9.99e-4) for sid in ("E13", "E14")],
+]
+
+
+@pytest.mark.parametrize(
+    "sid, key, largest, past", _SIZE_BOUNDS, ids=[f"{b[0]}-{b[1]}" for b in _SIZE_BOUNDS]
+)
+def test_size_bounds_are_refused_by_params_and_the_cli(sid, key, largest, past, capsys):
+    # regression: A3 n_classes=13 was OOM-killed, E13 fluid_dt=1e-9 died
+    # with a numpy MemoryError traceback and E10 horizon=1e12 never ended
+    sc = get_scenario(sid)
+    assert sc.params({key: largest})[key] == largest
+    with pytest.raises(ParamValidationError, match=key):
+        sc.params({key: past})
+    assert cli_main(["run", sid, "--param", f"{key}={past!r}"]) == 2
+    assert f"invalid parameters for scenario {sid}" in capsys.readouterr().err
 
 
 def test_schema_validator_json_semantics():
