@@ -28,6 +28,7 @@ from repro.bandits.restless import (
     RestlessProject,
     _drive,
     _gather,
+    _speculate,
     _SubsidyProblems,
     _whittle,
     whittle_index_tables,
@@ -60,39 +61,74 @@ def _dual_minimum(
     ks: range, passive_budget: int, lo: float, hi: float, tol: float
 ) -> Generator:
     """Golden-section search for the minimum of the fleet's dual function,
-    as a lockstep search (see :mod:`repro.bandits.restless`)."""
+    as a speculating lockstep search (see :mod:`repro.bandits.restless`)."""
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
 
-    def duals(*lams: float) -> Generator:
+    def evaluate(lams: list) -> Generator:
         return _gather([_dual(ks, lam, passive_budget) for lam in lams])
 
-    # expand until the minimum is interior (convexity: compare endpoints)
-    for _ in range(30):
-        f_lo, f_in = yield from duals(lo, lo + tol * 10)
-        if f_lo > f_in:
-            break
-        lo -= (hi - lo)
-    for _ in range(30):
-        f_hi, f_in = yield from duals(hi, hi - tol * 10)
-        if f_hi > f_in:
-            break
-        hi += (hi - lo)
-    # golden-section search
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = yield from duals(c, d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = yield from _dual(ks, c, passive_budget)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = yield from _dual(ks, d, passive_budget)
-    lam_star = 0.5 * (a + b)
-    bound = yield from _dual(ks, lam_star, passive_budget)
+    def step(state):
+        phase = state[0]
+        if phase < 2:
+            # expand until the minimum is interior (convexity: compare
+            # endpoints): phase 0 moves lo down and phase 1 hi up, each at
+            # most 30 times
+            _, lo, hi, n = state
+
+            def advance(ok, _):
+                lo1, hi1 = lo, hi
+                if not ok:
+                    if phase == 0:
+                        lo1 = lo - (hi - lo)
+                    else:
+                        hi1 = hi + (hi - lo)
+                    if n < 29:
+                        return phase, lo1, hi1, n + 1
+                if phase == 0:
+                    return 1, lo1, hi1, 0
+                c, d = hi1 - phi * (hi1 - lo1), lo1 + phi * (hi1 - lo1)
+                return 2, lo1, hi1, c, d, None, None, "cd"
+
+            points = (lo, lo + tol * 10) if phase == 0 else (hi, hi - tol * 10)
+            return points, lambda f: f[0] > f[1], advance
+        if phase == 3:  # the bound at the minimiser
+            lam_star = state[1]
+            return (
+                (lam_star,),
+                lambda f: True,
+                lambda ok, f: (4, lam_star, None if f is None else f[0]),
+            )
+        if phase == 4:
+            return None
+        # golden-section step: solve the pending points ("c", "d" or both),
+        # then narrow [a, b] towards the smaller of fc and fd
+        _, a, b, c, d, fc, fd, pending = state
+
+        def filled(f):
+            if f is None:  # not solved yet: only the points matter
+                return None, None
+            if pending == "cd":
+                return f[0], f[1]
+            return (f[0], fd) if pending == "c" else (fc, f[0])
+
+        def decide(f):
+            fc1, fd1 = filled(f)
+            return fc1 < fd1
+
+        def advance(ok, f):
+            fc1, fd1 = filled(f)
+            if not b - a > tol:
+                return 3, 0.5 * (a + b)
+            if ok:
+                b1, d1 = d, c
+                return 2, a, b1, b1 - phi * (b1 - a), d1, None, fc1, "c"
+            a1, c1 = c, d
+            return 2, a1, b, c1, a1 + phi * (b - a1), fd1, None, "d"
+
+        points = {"cd": (c, d), "c": (c,), "d": (d,)}[pending]
+        return points, decide, advance
+
+    _, lam_star, bound = yield from _speculate((0, lo, hi, 0), step, evaluate)
     return bound, lam_star
 
 
@@ -126,10 +162,11 @@ def relaxation_bounds_and_indices(
     and each project's average-criterion Whittle index table
     (:func:`heterogeneous_whittle_rule`).
 
-    The golden-section search and every Whittle bisection advance one step
-    per round, and each round's distinct subsidy solves — bound and index
-    solves alike — form one stacked relative-value-iteration call. Each
-    result is bit-for-bit the one the fleet or project solved alone gets.
+    The golden-section search and every Whittle bisection advance side by
+    side, each speculating several steps per round, and each round's
+    distinct subsidy solves — bound and index solves alike — form one
+    stacked relative-value-iteration call. Each result is bit-for-bit the
+    one the fleet or project solved alone, one step per round, gets.
     """
     projects = list(projects)
     # the default tolerances of the bound and the index-table calls

@@ -20,9 +20,14 @@ This module computes the index by *bisection on the subsidy* against exact
 single-project solves (value iteration for the discounted criterion,
 relative value iteration for the average criterion) and checks indexability
 on a subsidy grid. The searches run in lockstep: every bisection of every
-state of every project advances one step per round, and a round's distinct
-``(project, subsidy)`` solves form one stacked relative-value-iteration
-call (:func:`repro.mdp.solvers.stacked_relative_value_iteration`).
+state of every project advances one round at a time, and a round's
+distinct ``(project, subsidy)`` solves form one stacked
+relative-value-iteration call
+(:func:`repro.mdp.solvers.stacked_relative_value_iteration`). A search
+speculates: each round it requests every subsidy its next
+``_SPECULATION`` steps could need and replays those steps from the
+answers, so it takes a third of the rounds for about twice the stacked
+rows, with every decision and index unchanged.
 """
 
 from __future__ import annotations
@@ -188,9 +193,10 @@ class _SubsidyProblems:
 
 # ---------------------------------------------------------------------------
 # Lockstep searches. Each search is a generator that yields the list of
-# (project, subsidy) solves it needs next and is sent their results, so
-# per-state bisections and per-fleet golden-section searches read like
-# scalar loops while `_drive` advances all of them one step per round.
+# (project, subsidy) solves it needs next and is sent their results, and
+# `_drive` advances all of them one round at a time. The per-state
+# bisections and per-fleet golden-section searches are state machines run
+# by `_speculate`, several sequential steps per round.
 # ---------------------------------------------------------------------------
 
 
@@ -256,28 +262,79 @@ def _bracket(k: int, project: RestlessProject) -> Generator:
     return lo, hi
 
 
+#: sequential steps a speculating search takes per round: it requests
+#: every subsidy those steps could need, at most 2**_SPECULATION - 1 steps
+_SPECULATION = 3
+
+
+def _speculate(state: Any, step: Callable, evaluate: Callable) -> Generator:
+    """Run a sequential search ``_SPECULATION`` steps per round; returns
+    its final state.
+
+    ``step(state)`` is ``None`` once the search is done, else a triple
+    ``(points, decide, advance)``: the subsidies the step solves, its
+    binary outcome ``decide(values)`` from their values, and the next
+    state ``advance(ok, values)``. What a state solves may not depend on
+    values, so the states the next steps could reach are enumerated with
+    ``values=None``. All their points go out in one round through
+    ``evaluate`` (a search from points to their values), and the steps are
+    then replayed from the answers: the same float operations, in the same
+    order, on the same solves as the loop taking one step per round.
+    """
+    while True:
+        tree: dict[tuple, tuple] = {}
+        level = [((), state)]
+        for _ in range(_SPECULATION):
+            reach = []
+            for path, st in level:
+                move = step(st)
+                if move is not None:
+                    tree[path] = move[0]
+                    reach += [(path + (ok,), move[2](ok, None)) for ok in (True, False)]
+            level = reach
+        if not tree:
+            return state
+        values = iter((yield from evaluate([x for points in tree.values() for x in points])))
+        answers = {path: [next(values) for _ in points] for path, points in tree.items()}
+        path: tuple = ()
+        while path in tree:
+            _, decide, advance = step(state)
+            ok = decide(answers[path])
+            state, path = advance(ok, answers[path]), path + (ok,)
+
+
 def _bisect(k: int, s: int, lo0: float, hi0: float, tol: float) -> Generator:
     """Whittle index of state ``s`` of project ``k``: bisection on the
-    subsidy for the zero of the state's Q-gap."""
-    lo, hi = lo0, hi0
-    # ensure bracketing: gap(lo) >= 0 >= gap(hi)
-    for _ in range(60):
-        (gap,) = yield [("gap", k, lo)]
-        if gap[s] >= -tol:
-            break
-        lo -= hi0 - lo0
-    for _ in range(60):
-        (gap,) = yield [("gap", k, hi)]
-        if gap[s] <= tol:
-            break
-        hi += hi0 - lo0
-    while hi - lo > tol:
+    subsidy for the zero of the state's Q-gap, speculating."""
+    width = hi0 - lo0
+
+    def evaluate(lams: list) -> Generator:
+        return (yield [("gap", k, lam) for lam in lams])
+
+    def step(state):
+        phase, lo, hi, n = state
+        if phase < 2:
+            # ensure bracketing, gap(lo) >= 0 >= gap(hi): phase 0 moves lo
+            # down and phase 1 hi up, each at most 60 times
+            def advance(ok, _):
+                if ok:
+                    return phase + 1, lo, hi, 0
+                lo1, hi1 = (lo - width, hi) if phase == 0 else (lo, hi + width)
+                return (phase + 1, lo1, hi1, 0) if n == 59 else (phase, lo1, hi1, n + 1)
+
+            if phase == 0:
+                return (lo,), lambda gaps: gaps[0][s] >= -tol, advance
+            return (hi,), lambda gaps: gaps[0][s] <= tol, advance
+        if not hi - lo > tol:
+            return None
         mid = 0.5 * (lo + hi)
-        (gap,) = yield [("gap", k, mid)]
-        if gap[s] > 0:
-            lo = mid
-        else:
-            hi = mid
+        return (
+            (mid,),
+            lambda gaps: gaps[0][s] > 0,
+            lambda ok, _: (2, mid, hi, 0) if ok else (2, lo, mid, 0),
+        )
+
+    _, lo, hi, _ = yield from _speculate((0, lo0, hi0, 0), step, evaluate)
     return 0.5 * (lo + hi)
 
 
@@ -339,14 +396,15 @@ def whittle_index_tables(
     """Whittle index of every state of every project, by bisection on the
     subsidy (see :func:`whittle_indices`).
 
-    All bisections — every state of every project — advance one step per
-    round, and each round's distinct ``(project, subsidy)`` solves form
-    one stacked relative-value-iteration call. The bisections share solves
-    freely: all start from the same bracket and descend the same binary
-    tree of midpoints, so states whose indices are close request the same
-    subsidies in the same rounds. Every solve is a deterministic function
-    of the exact subsidy float, so each table is bit-for-bit the one a
-    project solved alone gets.
+    All bisections — every state of every project — advance side by side,
+    ``_SPECULATION`` steps per round, and each round's distinct
+    ``(project, subsidy)`` solves form one stacked relative-value-iteration
+    call. The bisections share solves freely: all start from the same
+    bracket and descend the same binary tree of midpoints, so states whose
+    indices are close request the same subsidies in the same rounds. Every
+    solve is a deterministic function of the exact subsidy float, so each
+    table is bit-for-bit the one a project solved alone, one step per
+    round, gets.
     """
     projects = list(projects)
     if check_indexability and not all(

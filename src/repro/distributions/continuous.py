@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -125,6 +126,11 @@ class HyperExponential(Distribution):
             raise ValueError("rates must be positive")
         self.probs = probs
         self.rates = rates
+        # the cdf `rng.choice(len(probs), p=probs)` searches, right side,
+        # with one `rng.random()`; a scalar draw bisects it directly
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     @classmethod
     def balanced_from_mean_scv(cls, mean: float, scv: float) -> "HyperExponential":
@@ -145,7 +151,7 @@ class HyperExponential(Distribution):
 
     def sample(self, rng, size=None):
         if size is None:
-            i = rng.choice(len(self.probs), p=self.probs)
+            i = bisect_right(self._cdf, rng.random())
             return rng.exponential(1.0 / self.rates[i])
         idx = rng.choice(len(self.probs), p=self.probs, size=size)
         return rng.exponential(1.0 / self.rates[idx])

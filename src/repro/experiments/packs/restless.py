@@ -3,11 +3,13 @@
 Whittle-index near-optimality against the LP relaxation bound on growing
 homogeneous fleets, and heterogeneous fleets against the Lagrangian dual
 bound — with a lockstep fleet-rollout kernel for E8 and a ``direct`` one
-for E19.
+for E19. E8's bound and index tables depend on no seed, so both of its
+backends compute them once per process (``_e8_analysis``).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ _SCHEMAS = {
             "horizon": {"type": "integer", "minimum": 1},
             "warmup": {"type": "integer", "minimum": 0},
         },
+        "exclusiveMaximumOf": {"warmup": "horizon"},
         "additionalProperties": False,
     },
     "E19": {
@@ -41,10 +44,13 @@ _SCHEMAS = {
         "properties": {
             "n_projects": {"type": "integer", "minimum": 1},
             "n_states": {"type": "integer", "minimum": 2},
-            "m": {"type": "integer", "minimum": 0},
+            # m = 0 makes the Lagrangian bound zero, and E19 divides by it
+            "m": {"type": "integer", "minimum": 1},
             "horizon": {"type": "integer", "minimum": 1},
             "warmup": {"type": "integer", "minimum": 0},
         },
+        "maximumOf": {"m": "n_projects"},
+        "exclusiveMaximumOf": {"warmup": "horizon"},
         "additionalProperties": False,
     },
 }
@@ -75,6 +81,25 @@ def _e8_project():
     return RestlessProject(P0=P0, P1=P1, R0=R0, R1=R1)
 
 
+@functools.lru_cache(maxsize=32)
+def _e8_analysis(alpha: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """E8's LP relaxation bound per project and the Whittle and myopic
+    index tables of its project at activation fraction ``alpha``.
+
+    Seed-free, so both backends compute them once per process and
+    ``alpha`` rather than once per replication; the tables are tuples, so
+    no caller can change what the next one reads."""
+    from repro.bandits import average_relaxation_bound, whittle_indices
+
+    proj = _e8_project()
+    bound, _ = average_relaxation_bound(proj, alpha)
+    return (
+        float(bound),
+        tuple(whittle_indices(proj).tolist()),
+        tuple((proj.R1 - proj.R0).tolist()),
+    )
+
+
 @PACK.scenario(
     "E8",
     title="Whittle index: near-optimality against the LP relaxation bound",
@@ -102,18 +127,14 @@ def simulate_e8(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     Derives all randomness from ``ss`` and measures the metric
     dictionary the registry entry's shape checks are evaluated on.
     """
-    from repro.bandits import (
-        average_relaxation_bound,
-        myopic_rule,
-        simulate_restless,
-        whittle_rule,
-    )
+    from repro.bandits import ProjectIndexTables, simulate_restless
 
     proj = _e8_project()
     alpha = float(params["alpha"])
     horizon, warmup = int(params["horizon"]), int(params["warmup"])
-    bound, _ = average_relaxation_bound(proj, alpha)
-    w_rule, m_rule = whittle_rule(proj), myopic_rule(proj)
+    bound, w_table, m_table = _e8_analysis(alpha)
+    w_rule = ProjectIndexTables([w_table], "Whittle")
+    m_rule = ProjectIndexTables([m_table], "Myopic")
 
     sizes = [int(n) for n in params["fleet_sizes"]]
     rngs = np.random.default_rng(ss).spawn(len(sizes) + 1)
@@ -219,27 +240,22 @@ def simulate_e19(ss: np.random.SeedSequence, params: Params) -> dict[str, float]
 
 @PACK.kernel(
     "E8",
-    note="the LP bound and Whittle/myopic index tables are identical for "
-    "every replication and computed once; the fleet rollouts run in "
-    "lockstep across replications",
+    note="the fleet rollouts run in lockstep across replications, each "
+    "drawing its uniforms a block of epochs at a time; the LP bound and "
+    "Whittle/myopic index tables are memoised per alpha for both backends",
 )
 def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``batched`` kernel for E8: runs all replications at once on arrays with a replication axis;
     bit-for-bit equal to ``simulate_e8`` on the same seeds.
     """
-    from repro.bandits import average_relaxation_bound, myopic_rule, whittle_rule
-
     proj = _e8_project()
     alpha = float(params["alpha"])
     horizon, warmup = int(params["horizon"]), int(params["warmup"])
     sizes = [int(n) for n in params["fleet_sizes"]]
     N = len(seeds)
 
-    bound, _ = average_relaxation_bound(proj, alpha)
-    w_rule, m_rule = whittle_rule(proj), myopic_rule(proj)
-    K = proj.n_states
-    w_table = np.array([w_rule.index(0, s) for s in range(K)])
-    m_table = np.array([m_rule.index(0, s) for s in range(K)])
+    bound, w_table, m_table = _e8_analysis(alpha)
+    w_table, m_table = np.array(w_table), np.array(m_table)
     cum0 = np.cumsum(proj.P0, axis=1)
     cum1 = np.cumsum(proj.P1, axis=1)
 

@@ -192,18 +192,18 @@ def stacked_relative_value_iteration(
     gain = np.zeros(B)
     live = np.arange(B)  # original row of each row still iterating
     v = np.zeros((B, S))
-    pol = np.zeros((B, S), dtype=int)
     d = np.zeros((B, S))
+    qm = np.zeros((B, A, S))  # policy 0 everywhere if max_iter < 1
     ref = reference_state
     if B == 0:
         return MDPSolution(value, policy, iterations, converged, gain=gain)
-    row_ix, state_ix = np.arange(B)[:, None], np.arange(S)
     # aperiodicity transform: mix with the identity
     tau = 0.5
     for it in range(1, max_iter + 1):
         qm = R + np.einsum("bast,bt->bas", T, v) + M
-        pol = qm.argmax(axis=1)
-        v_new = qm[row_ix, pol, state_ix]
+        # the maximum is the Q-value of the first maximising action, so
+        # the greedy policy is needed only for the rows that retire
+        v_new = qm.max(axis=1)
         v_new = tau * v_new + (1 - tau) * v  # damped update keeps spans contracting
         d = v_new - v  # d[:, ref] is the gain estimate
         hi, lo = d.max(axis=1), d.min(axis=1)
@@ -212,7 +212,7 @@ def stacked_relative_value_iteration(
             rows = live[done]
             # the damped operator has the same bias as the original problem
             value[rows] = v_new[done] - v_new[done, ref, None]
-            policy[rows] = pol[done]
+            policy[rows] = qm[done].argmax(axis=1)
             iterations[rows] = it
             converged[rows] = True
             gain[rows] = (hi[done] + lo[done]) / 2.0 / tau
@@ -221,12 +221,11 @@ def stacked_relative_value_iteration(
             if live.size == 0:
                 break
             T, R, M, tol = T[keep], R[keep], M[keep], tol[keep]
-            v_new, pol, d = v_new[keep], pol[keep], d[keep]
-            row_ix = row_ix[: live.size]
+            v_new, d, qm = v_new[keep], d[keep], qm[keep]
         v = v_new - v_new[:, ref, None]
     else:
         value[live] = v
-        policy[live] = pol
+        policy[live] = qm.argmax(axis=1)
         gain[live] = d[:, ref] / tau
     return MDPSolution(value, policy, iterations, converged, gain=gain)
 

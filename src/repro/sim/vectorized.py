@@ -278,6 +278,10 @@ def subset_dp_batch(
 # ---------------------------------------------------------------------------
 
 
+#: most uniforms one replication draws at a time (one block of epochs)
+_DRAW_BLOCK = 2**16
+
+
 def lockstep_restless_rollouts(
     cum0: np.ndarray,
     cum1: np.ndarray,
@@ -295,13 +299,16 @@ def lockstep_restless_rollouts(
 
     ``cum0``/``cum1`` are the row-cumsum passive/active transition
     matrices, ``R0``/``R1`` the per-state rewards and ``idx_table`` the
-    per-state priority index.  Each replication ``r`` draws
+    per-state priority index.  Each replication ``r`` consumes
     ``rngs[r].random(n_projects)`` once per epoch — the single draw
     :func:`repro.bandits.relaxation.simulate_restless` makes — so the
-    randomness per replication is identical to the event path.  Returns
-    the per-replication average reward per project per epoch after
-    ``warmup``, shape ``(N,)``, bit-for-bit equal to the per-replication
-    loop.
+    randomness per replication is identical to the event path.  The
+    draws are taken a block of epochs at a time,
+    ``rngs[r].random((epochs, n_projects))`` with at most
+    ``_DRAW_BLOCK`` values, which is the same stream because nothing
+    else draws from those generators.  Returns the per-replication
+    average reward per project per epoch after ``warmup``, shape
+    ``(N,)``, bit-for-bit equal to the per-replication loop.
     """
     if not 0 <= m_active <= n_projects:
         raise ValueError("need 0 <= m_active <= n_projects")
@@ -310,14 +317,21 @@ def lockstep_restless_rollouts(
     N = len(rngs)
     states = np.zeros((N, n_projects), dtype=np.int64)
     totals = np.zeros(N)
-    u = np.empty((N, n_projects))
     n_passive = n_projects - m_active
+    block = max(1, _DRAW_BLOCK // max(n_projects, 1))
+    rows = np.arange(N)[:, None]
     for t in range(horizon):
+        if t % block == 0:
+            epochs = min(block, horizon - t)
+            draws = np.empty((N, epochs, n_projects))
+            for r, g in enumerate(rngs):
+                draws[r] = g.random((epochs, n_projects))
+        u = draws[:, t % block]
         prio = idx_table[states]
         # stable argsort == lexsort((arange, -prio)): ties to lowest id
         order = np.argsort(-prio, axis=1, kind="stable")
         mask = np.zeros((N, n_projects), dtype=bool)
-        np.put_along_axis(mask, order[:, :m_active], True, axis=1)
+        mask[rows, order[:, :m_active]] = True
         # boolean indexing enumerates row-major: per replication the
         # active (and passive) states appear in ascending project id, the
         # order the event path's boolean masks produce
@@ -326,8 +340,6 @@ def lockstep_restless_rollouts(
         if t >= warmup:
             reward = R1[act_states].sum(axis=1) + R0[pas_states].sum(axis=1)
             totals += reward
-        for r in range(N):
-            u[r] = rngs[r].random(n_projects)
         nxt = np.empty((N, n_projects), dtype=np.int64)
         if m_active:
             act_u = u[mask].reshape(N, m_active)

@@ -20,7 +20,12 @@ built-in packs need:
   ``maxItems`` for arrays;
 * ``minimum`` / ``maximum`` / ``exclusiveMinimum`` / ``exclusiveMaximum``
   (draft-2020 numeric form) for numbers;
-* ``enum`` for literal sets.
+* ``enum`` for literal sets;
+* ``maximumOf`` / ``exclusiveMaximumOf`` for objects, an extension
+  relating two properties: each maps a numeric property to the one it
+  may not exceed (``{"m": "n_projects"}``) or must stay below
+  (``{"warmup": "horizon"}``).  Checked only when both are finite
+  numbers; the property schemas report anything else.
 
 Validation returns a *list of error strings* (empty = valid), each
 prefixed with the JSON-path of the offending value, so callers can
@@ -62,6 +67,14 @@ def _matches_type(value: Any, expected: str) -> bool:
     if expected == "number":
         return actual in ("number", "integer")
     return actual == expected
+
+
+def _is_finite_number(value: Any) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(float(value))
+    )
 
 
 def schema_errors(value: Any, schema: Mapping[str, Any], path: str = "") -> list[str]:
@@ -137,6 +150,18 @@ def schema_errors(value: Any, schema: Mapping[str, Any], path: str = "") -> list
         for name in schema.get("required", ()):
             if name not in value:
                 errors.append(f"{here}: missing required property {name!r}")
+        for keyword, strict in (("maximumOf", False), ("exclusiveMaximumOf", True)):
+            for name, bound in schema.get(keyword, {}).items():
+                x, y = value.get(name), value.get(bound)
+                if not (_is_finite_number(x) and _is_finite_number(y)):
+                    continue
+                where = f"{here}.{name}" if path else name
+                if strict and x >= y:
+                    errors.append(
+                        f"{where}: {x!r} must be strictly less than {bound} ({y!r})"
+                    )
+                elif not strict and x > y:
+                    errors.append(f"{where}: {x!r} is above {bound} ({y!r})")
         if schema.get("additionalProperties") is False:
             extra = sorted(set(value) - set(props))
             if extra:

@@ -8,22 +8,26 @@ iteration per restart state), the priority-order scan that closed
 permutation), :func:`repro.bandits.heterogeneous.simulate_heterogeneous_restless`
 (the rule read and ``np.searchsorted`` called per project and epoch),
 E9's switching-cost path (the joint MDP built once for the optimum and
-once per heuristic, each heuristic computing its own index tables) and
-E19's (the bound and the Whittle tables solved apart), kept verbatim apart
-from their names.  The library replaced them with stacked
-value iteration, a blocked array scan, list-based stepping and one shared
-MDP build that must stay bit-for-bit equal;
+once per heuristic, each heuristic computing its own index tables),
+E19's (the bound and the Whittle tables solved apart), and the lockstep
+searches :func:`repro.bandits.restless._bisect` and
+:func:`repro.bandits.heterogeneous._dual_minimum` taking one step per
+round, kept verbatim apart from their names.  The library replaced them
+with stacked value iteration, a blocked array scan, list-based stepping,
+one shared MDP build and searches that speculate several steps per round,
+all of which must stay bit-for-bit equal;
 ``tests/test_index_oracles.py`` checks them against these oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from repro.bandits.gittins import gittins_indices_vwb
+from repro.bandits.heterogeneous import _dual, _gather
 from repro.bandits.project import MarkovProject, random_project
 from repro.bandits.restless import RestlessProject
 from repro.core.conservation import priority_performance_vector
@@ -37,6 +41,8 @@ __all__ = [
     "oracle_simulate_heterogeneous_restless",
     "oracle_simulate_e9",
     "oracle_simulate_e19",
+    "oracle_bisect",
+    "oracle_dual_minimum",
 ]
 
 
@@ -273,3 +279,63 @@ def oracle_simulate_e19(ss: np.random.SeedSequence, params) -> dict[str, float]:
         "whittle_frac": float(whittle / bound),
         "myopic_frac": float(myopic / bound),
     }
+
+
+def oracle_bisect(k: int, s: int, lo0: float, hi0: float, tol: float) -> Generator:
+    lo, hi = lo0, hi0
+    # ensure bracketing: gap(lo) >= 0 >= gap(hi)
+    for _ in range(60):
+        (gap,) = yield [("gap", k, lo)]
+        if gap[s] >= -tol:
+            break
+        lo -= hi0 - lo0
+    for _ in range(60):
+        (gap,) = yield [("gap", k, hi)]
+        if gap[s] <= tol:
+            break
+        hi += hi0 - lo0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        (gap,) = yield [("gap", k, mid)]
+        if gap[s] > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def oracle_dual_minimum(
+    ks: range, passive_budget: int, lo: float, hi: float, tol: float
+) -> Generator:
+    def duals(*lams: float) -> Generator:
+        return _gather([_dual(ks, lam, passive_budget) for lam in lams])
+
+    # expand until the minimum is interior (convexity: compare endpoints)
+    for _ in range(30):
+        f_lo, f_in = yield from duals(lo, lo + tol * 10)
+        if f_lo > f_in:
+            break
+        lo -= (hi - lo)
+    for _ in range(30):
+        f_hi, f_in = yield from duals(hi, hi - tol * 10)
+        if f_hi > f_in:
+            break
+        hi += (hi - lo)
+    # golden-section search
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = yield from duals(c, d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = yield from _dual(ks, c, passive_budget)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = yield from _dual(ks, d, passive_budget)
+    lam_star = 0.5 * (a + b)
+    bound = yield from _dual(ks, lam_star, passive_budget)
+    return bound, lam_star

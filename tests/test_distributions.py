@@ -134,6 +134,23 @@ class TestHyperExponential:
         with pytest.raises(ValueError):
             HyperExponential([0.5, 0.4], [1.0, 2.0])
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalar_draw_equals_numpy_choice(self, weights, seed):
+        # scalar draws bisect a cached cdf; they must pick the phases
+        # `rng.choice(n, p=probs)` picks and consume the same stream
+        probs = np.array(weights, dtype=float) / sum(weights)
+        d = HyperExponential(probs, np.arange(1.0, len(probs) + 1.0))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            i = a.choice(len(d.probs), p=d.probs)
+            want = a.exponential(1.0 / d.rates[i])
+            assert np.float64(d.sample(b)).tobytes() == np.float64(want).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestTwoPoint:
     def test_support(self):

@@ -272,6 +272,58 @@ def test_size_bounds_are_refused_by_params_and_the_cli(sid, key, largest, past, 
     assert f"invalid parameters for scenario {sid}" in capsys.readouterr().err
 
 
+# a parameter past the one that bounds it: the largest accepted override
+# and one past it (E19 with m = 0 has a zero bound, which E19 divides by)
+_CROSS_BOUNDS = [
+    ("E19", {"n_projects": 2, "m": 2}, {"n_projects": 2, "m": 5}),
+    ("E19", {"n_projects": 1, "m": 1}, {"n_projects": 1, "m": 0}),
+    ("E8", {"horizon": 60, "warmup": 59}, {"horizon": 50, "warmup": 60}),
+    ("E19", {"horizon": 60, "warmup": 59}, {"horizon": 50, "warmup": 60}),
+]
+
+
+@pytest.mark.parametrize(
+    "sid, largest, past", _CROSS_BOUNDS, ids=[f"{b[0]}-{sorted(b[2])}" for b in _CROSS_BOUNDS]
+)
+def test_cross_field_bounds_are_refused_by_params_and_both_clis(sid, largest, past, capsys):
+    # regression: these exited 1 with a ValueError traceback from the
+    # simulation (E19 m=0 with warnings, null fractions and a 1e10 price)
+    sc = get_scenario(sid)
+    assert sc.params(largest) == {**sc.defaults, **largest}
+    with pytest.raises(ParamValidationError):
+        sc.params(past)
+    argv = [f"--param={k}={v}" for k, v in past.items()]
+    assert cli_main(["run", sid, *argv]) == 2
+    axes = [f"--axis={k}={v}" for k, v in past.items()]
+    assert sweep_main(["run", sid, *axes, "--replications", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"invalid parameters for scenario {sid}") == 2
+    assert "Traceback" not in err
+
+
+def test_schema_cross_property_bounds():
+    schema = {
+        "type": "object",
+        "properties": {"a": {"type": "number"}, "b": {"type": "number"}},
+        "maximumOf": {"a": "b"},
+        "exclusiveMaximumOf": {"b": "c"},
+    }
+    assert schema_errors({"a": 2, "b": 2, "c": 3}, schema) == []
+    assert schema_errors({"a": 3, "b": 2, "c": 3}, schema, "p") == ["p.a: 3 is above b (2)"]
+    assert schema_errors({"a": 1, "b": 3, "c": 3}, schema) == [
+        "b: 3 must be strictly less than c (3)"
+    ]
+    # an absent, non-numeric or non-finite partner is the property
+    # schemas' business, not a second error here
+    assert schema_errors({"a": 3}, schema) == []
+    assert schema_errors({"a": 3, "b": True, "c": "x"}, schema) == [
+        "b: expected number, got boolean True"
+    ]
+    assert schema_errors({"a": float("inf"), "b": 2}, schema) == [
+        "a: inf is not a finite number"
+    ]
+
+
 def test_schema_validator_json_semantics():
     # bools are not integers/numbers; tuples are arrays
     assert schema_errors(True, {"type": "integer"})

@@ -218,6 +218,11 @@ def test_invalid_submissions_get_structured_errors(tmp_path):
                        "axes": {"fluid_horizon": [-math.inf]}}}, "invalid-params"),
             ({"spec": {"scenario_id": "E10", "axes": {"horizon": [math.nan]}}},
              "invalid-params"),
+            # a parameter past the one that bounds it once crashed the run
+            ({"spec": {"scenario_id": "E19", "axes": {"m": [5]},
+                       "base": {"n_projects": 2}}}, "invalid-params"),
+            ({"spec": {"scenario_id": "E8", "axes": {"warmup": [60]},
+                       "base": {"horizon": 50}}}, "invalid-params"),
         ]
         for payload, expected_code in cases:
             with pytest.raises(ServeError) as exc_info:
