@@ -1,20 +1,24 @@
 """Ablation A8 — cold start of the ``repro-experiments`` CLI.
 
 A 4-replication E1 run simulates for ~10 ms, so a one-shot CLI call is
-dominated by interpreter start and imports.  This script times the whole
-process, from ``exec`` to exit, for two source trees — a *before* tree
+dominated by interpreter start and imports.  This script times whole
+processes, from ``exec`` to exit, for two source trees — a *before* tree
 extracted from a git revision and the *after* tree of this checkout —
 interleaving the runs and alternating which side goes first, so drift
-on a shared host hits both sides alike::
+on a shared host hits both sides alike.  It times two commands: the E1
+run, which computes an interval (and so loads ``scipy.special``), and
+``repro-experiments packs``, which computes none::
 
     python benchmarks/bench_a08_cold_start.py \\
         --before-rev HEAD~1 --repeats 7 --record BENCH_a0x.json
 
 Each side gets one untimed run first (it compiles the tree's bytecode
 caches, which an installed package already has), then ``--repeats``
-timed runs.  The record (``a08_cold_start``, schema ``repro.bench/v1``)
-carries each side's median and quartiles and the ratio of the medians;
-none is gated, because both sides' absolute times follow the host.
+timed runs of each command.  The record (``a08_cold_start``, schema
+``repro.bench/v1``) carries each side's median and quartiles and the
+ratio of the medians per command, the ``packs`` ones prefixed
+``packs_``; none is gated, because both sides' absolute times follow
+the host.
 """
 
 from __future__ import annotations
@@ -35,8 +39,13 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.bench import append_record, make_record  # noqa: E402
 
-COMMAND = ["-m", "repro.experiments.cli", "run", "E1", "--replications", "4",
-           "--workers", "1", "--no-cache", "--quiet"]
+#: metric prefix -> timed command; E1's metrics keep their unprefixed
+#: names so records from before ``packs`` was timed still compare
+COMMANDS = {
+    "": ["-m", "repro.experiments.cli", "run", "E1", "--replications", "4",
+         "--workers", "1", "--no-cache", "--quiet"],
+    "packs_": ["-m", "repro.experiments.cli", "packs"],
+}
 
 
 def extract_src(rev: str, dest: Path) -> Path:
@@ -50,10 +59,10 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def cold_run(src: Path, cwd: Path) -> float:
-    """Wall seconds of one ``repro-experiments run E1`` process."""
+def cold_run(src: Path, cwd: Path, command: list[str]) -> float:
+    """Wall seconds of one ``python <command>`` process."""
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *COMMAND], cwd=cwd,
+    proc = subprocess.run([sys.executable, *command], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     elapsed = time.perf_counter() - start
@@ -62,15 +71,19 @@ def cold_run(src: Path, cwd: Path) -> float:
     return elapsed
 
 
-def measure(sides: dict[str, Path], repeats: int, cwd: Path) -> dict[str, list[float]]:
-    """``repeats`` interleaved timings per side, after one warm-up each."""
+def measure(sides: dict[str, Path], repeats: int,
+            cwd: Path) -> dict[str, dict[str, list[float]]]:
+    """``repeats`` interleaved timings per command and side, after one
+    warm-up each."""
     for src in sides.values():
-        cold_run(src, cwd)
-    times: dict[str, list[float]] = {label: [] for label in sides}
+        for command in COMMANDS.values():
+            cold_run(src, cwd, command)
+    times = {prefix: {label: [] for label in sides} for prefix in COMMANDS}
     order = list(sides)
     for i in range(repeats):
         for label in order if i % 2 == 0 else order[::-1]:
-            times[label].append(cold_run(sides[label], cwd))
+            for prefix, command in COMMANDS.items():
+                times[prefix][label].append(cold_run(sides[label], cwd, command))
     return times
 
 
@@ -98,21 +111,26 @@ def main(argv: list[str] | None = None) -> int:
         (tmp / "cwd").mkdir()
         times = measure(sides, args.repeats, tmp / "cwd")
 
-    stats = {label: summary(xs) for label, xs in times.items()}
-    for label, s in stats.items():
-        print(f"{label:>6}: median {s['median']:.3f} s  "
-              f"[q1 {s['q1']:.3f}, q3 {s['q3']:.3f}]  "
-              f"runs {' '.join(f'{x:.3f}' for x in times[label])}")
-    ratio = stats["before"]["median"] / stats["after"]["median"]
-    print(f"before/after median ratio: {ratio:.2f}")
+    metrics: dict[str, dict] = {}
+    meta: dict[str, object] = {"before_rev": args.before_rev,
+                               "repeats": args.repeats}
+    for prefix, command in COMMANDS.items():
+        shown = "repro-experiments " + " ".join(command[2:])
+        print(shown)
+        stats = {label: summary(xs) for label, xs in times[prefix].items()}
+        for label, s in stats.items():
+            print(f"{label:>6}: median {s['median']:.3f} s  "
+                  f"[q1 {s['q1']:.3f}, q3 {s['q3']:.3f}]  "
+                  f"runs {' '.join(f'{x:.3f}' for x in times[prefix][label])}")
+        ratio = stats["before"]["median"] / stats["after"]["median"]
+        print(f"before/after median ratio: {ratio:.2f}")
+        metrics.update({f"{prefix}{label}_{key}_s": {"value": value, "unit": "s"}
+                        for label, s in stats.items() for key, value in s.items()})
+        metrics[f"{prefix}before_over_after"] = {"value": ratio}
+        meta[f"{prefix}command"] = shown
+        meta[f"{prefix}runs_s"] = times[prefix]
 
     if args.record:
-        metrics = {f"{label}_{key}_s": {"value": value, "unit": "s"}
-                   for label, s in stats.items() for key, value in s.items()}
-        metrics["before_over_after"] = {"value": ratio}
-        meta = {"before_rev": args.before_rev, "repeats": args.repeats,
-                "command": "repro-experiments " + " ".join(COMMAND[2:]),
-                "runs_s": times}
         append_record(args.record, make_record("a08_cold_start", metrics,
                                                meta=meta))
         print(f"[bench-record] a08_cold_start -> {args.record}")

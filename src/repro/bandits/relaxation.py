@@ -28,21 +28,20 @@ __all__ = [
 ]
 
 
-def average_relaxation_bound(
-    project: RestlessProject, alpha: float
-) -> tuple[float, np.ndarray]:
-    """Optimal value of the single-project average-activation LP.
+def _solve_activation_lp(project: RestlessProject, alpha: float):
+    """Solve the single-project average-activation LP with HiGHS.
 
     maximise ``sum_{s,a} R_a(s) x(s,a)`` over occupation measures with
-    flow balance, total mass 1 and activation mass ``sum_s x(s,1) = alpha``.
-    Returns ``(bound_per_project, x)`` with x of shape (2, n_states).
+    flow balance, total mass 1 and activation mass ``sum_s x(s,1) = alpha``;
+    the variables are ``x(s,0)`` then ``x(s,1)`` (passive block first).
+    Returns scipy's ``OptimizeResult``.
     """
     from scipy.optimize import linprog
 
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0, 1]")
     n = project.n_states
-    nv = 2 * n  # variables x(s,0), x(s,1) — passive block first
+    nv = 2 * n
     c = -np.concatenate([project.R0, project.R1])
     # flow balance: sum_a x(t,a) = sum_{s,a} P_a(s,t) x(s,a)
     A_eq = np.zeros((n + 2, nv))
@@ -59,6 +58,19 @@ def average_relaxation_bound(
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * nv, method="highs")
     if not res.success:
         raise RuntimeError(f"relaxation LP failed: {res.message}")
+    return res
+
+
+def average_relaxation_bound(
+    project: RestlessProject, alpha: float
+) -> tuple[float, np.ndarray]:
+    """Optimal value of the single-project average-activation LP.
+
+    Returns ``(bound_per_project, x)`` with x the optimal occupation
+    measure, of shape (2, n_states).
+    """
+    res = _solve_activation_lp(project, alpha)
+    n = project.n_states
     x = np.vstack([res.x[:n], res.x[n:]])
     return -float(res.fun), x
 
@@ -75,25 +87,8 @@ def primal_dual_indices(project: RestlessProject, alpha: float) -> np.ndarray:
     where ``h`` comes from the flow-balance duals. States the relaxation
     wants active get positive indices.
     """
-    from scipy.optimize import linprog
-
+    res = _solve_activation_lp(project, alpha)
     n = project.n_states
-    nv = 2 * n
-    c = -np.concatenate([project.R0, project.R1])
-    A_eq = np.zeros((n + 2, nv))
-    for t in range(n):
-        A_eq[t, t] += 1.0
-        A_eq[t, n + t] += 1.0
-        A_eq[t, :n] -= project.P0[:, t]
-        A_eq[t, n:] -= project.P1[:, t]
-    A_eq[n, :] = 1.0
-    A_eq[n + 1, n:] = 1.0
-    b_eq = np.zeros(n + 2)
-    b_eq[n] = 1.0
-    b_eq[n + 1] = alpha
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * nv, method="highs")
-    if not res.success:
-        raise RuntimeError(f"relaxation LP failed: {res.message}")
     duals = np.asarray(res.eqlin.marginals, dtype=float)
     h = -duals[:n]  # flow-balance duals act as a bias vector
     lam = -duals[n + 1]  # activation-constraint dual = implicit subsidy

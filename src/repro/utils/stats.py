@@ -14,11 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# the Student-t quantile: stdtrit(df, q) is what scipy.stats.t.ppf(q, df)
-# evaluates, without importing scipy.stats (docs/ARCHITECTURE.md, "Import
-# policy")
-from scipy.special import stdtrit
-
 __all__ = [
     "RunningStats",
     "ConfidenceInterval",
@@ -27,6 +22,20 @@ __all__ = [
     "RowAggregate",
     "summarize_rows",
 ]
+
+
+def _t_quantile(df, q):
+    """The Student-t quantile: ``stdtrit(df, q)`` is what
+    ``scipy.stats.t.ppf(q, df)`` evaluates, without importing
+    ``scipy.stats``."""
+    # imported with the first interval a process computes, not with this
+    # module: under scipy 1.17 ``scipy.special`` also loads numpy.f2py,
+    # numpy.ma and numpy.testing (0.25-0.3 s), which a daemon awaiting its
+    # first job or a CLI client never needs (docs/ARCHITECTURE.md, "Import
+    # policy")
+    from scipy.special import stdtrit
+
+    return stdtrit(df, q)
 
 
 class RunningStats:
@@ -180,7 +189,7 @@ def mean_confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean=m, half_width=math.inf, level=level, n=1)
     s = float(xs.std(ddof=1))
-    t = float(stdtrit(n - 1, 0.5 + level / 2))
+    t = float(_t_quantile(n - 1, 0.5 + level / 2))
     return ConfidenceInterval(mean=m, half_width=t * s / math.sqrt(n), level=level, n=n)
 
 
@@ -265,7 +274,7 @@ def summarize_rows(
     dev = np.where(present, matrix - means, 0.0)
     m2 = (dev**2).sum(axis=0)
     stds = np.where(counts > 1, np.sqrt(m2 / np.maximum(counts - 1, 1)), 0.0)
-    t = stdtrit(np.maximum(counts - 1, 1), 0.5 + level / 2)
+    t = _t_quantile(np.maximum(counts - 1, 1), 0.5 + level / 2)
     half = np.where(counts > 1, t * stds / np.sqrt(safe), np.inf)
     mins = np.where(
         counts > 0, np.where(present, matrix, np.inf).min(axis=0, initial=np.inf), np.nan

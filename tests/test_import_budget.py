@@ -1,11 +1,11 @@
 """The import budget: what an entry point loads before it does any work.
 
-A 4-replication E1 run simulates for ~10 ms; importing ``scipy.stats``
-and ``scipy.optimize`` costs several times that.  The policy
-(docs/ARCHITECTURE.md, "Import policy") is: ``numpy`` and
-``scipy.special`` at module scope, every other scipy module imported
-inside the function that uses it, and ``repro`` itself lazy.  Both checks
-here are deterministic (module sets and source lines, never timings).
+A 4-replication E1 run simulates for ~10 ms; importing any scipy module
+costs several times that.  The policy (docs/ARCHITECTURE.md, "Import
+policy") is: only ``numpy`` at module scope, every scipy module imported
+inside the function that uses it, and ``repro`` itself lazy.  The checks
+here are deterministic (module sets, source lines and bits, never
+timings).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,24 +23,22 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
-HEAVY = ("numpy", "scipy", "scipy.stats", "scipy.optimize")
-NO_LP_OR_STATS = {"scipy.stats", "scipy.optimize"}
+HEAVY = ("numpy", "scipy", "scipy.special", "scipy.stats", "scipy.optimize")
+NO_SCIPY = {"scipy", "scipy.special", "scipy.stats", "scipy.optimize"}
 
 #: entry module -> heavy modules it may not leave in ``sys.modules``
 BUDGET = {
     "repro": {"numpy", "scipy"},
-    "repro.experiments.cli": NO_LP_OR_STATS,
-    "repro.experiments.sweep_cli": NO_LP_OR_STATS,
-    "repro.serve.cli": NO_LP_OR_STATS,
-    "repro.lint.cli": NO_LP_OR_STATS | {"numpy"},
+    "repro.experiments.cli": NO_SCIPY,
+    "repro.experiments.sweep_cli": NO_SCIPY,
+    "repro.serve.cli": NO_SCIPY,
+    "repro.lint.cli": NO_SCIPY | {"numpy"},
 }
 
 
-def _loaded_after_import(module: str) -> set[str]:
-    code = (
-        f"import json, sys, {module}\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
-    )
+def _run_python(code: str):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path and
+    return what it printed as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -52,7 +51,14 @@ def _loaded_after_import(module: str) -> set[str]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def _loaded_after_import(module: str) -> set[str]:
+    return set(_run_python(
+        f"import json, sys, {module}\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    ))
 
 
 @pytest.mark.parametrize("module", sorted(BUDGET))
@@ -91,20 +97,19 @@ def _module_scope_statements(tree: ast.Module):
 
 
 def module_scope_scipy_imports(root: Path) -> list[str]:
-    """``path:line: module`` for each scipy import outside ``scipy.special``
-    that runs when its module is imported (paths relative to ``root``'s
-    parent, so ``repro/utils/stats.py``)."""
+    """``path:line: module`` for each scipy import that runs when its
+    module is imported (paths relative to ``root``'s parent, so
+    ``repro/utils/stats.py``)."""
     found = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in _module_scope_statements(tree):
             for name in _scipy_module(node):
-                if name.split(".")[:2] != ["scipy", "special"]:
-                    found.append((path.relative_to(root.parent), node.lineno, name))
+                found.append((path.relative_to(root.parent), node.lineno, name))
     return [f"{path}:{line}: {name}" for path, line, name in sorted(found)]
 
 
-def test_no_module_scope_scipy_import_outside_special():
+def test_no_module_scope_scipy_import():
     offenders = module_scope_scipy_imports(SRC / "repro")
     assert not offenders, (
         "import these inside the functions that use them:\n"
@@ -130,7 +135,47 @@ def test_scope_check_flags_module_and_class_scope_but_not_functions(tmp_path):
     )
     found = module_scope_scipy_imports(tmp_path)
     assert [line.split(":", 1)[1] for line in found] == [
+        "2: scipy.special",
         "3: scipy.stats",
         "5: scipy.optimize",
         "9: scipy.linalg",
     ]
+
+
+def test_daemon_loads_scipy_special_at_its_first_interval_not_before():
+    # the t-quantile is imported by the first interval a process computes,
+    # and the intervals it gives are stdtrit's, bit for bit
+    loaded, halves = _run_python(textwrap.dedent("""
+        import json, math, sys, tempfile
+        from repro.serve.testing import ServerHarness
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        loaded, halves = [], []
+        with tempfile.TemporaryDirectory() as store, \\
+                ServerHarness(store=store) as harness:
+            client = harness.client()
+            client.health()
+            loaded.append(scipy_loaded())
+            for reps, level in ((2, 0.8), (4, 0.95), (7, 0.99)):
+                job = client.submit({
+                    "schema": "repro.serve/v1",
+                    "spec": {"scenario_id": "E1", "axes": {"n_jobs": [6]},
+                             "mode": "grid"},
+                    "run": {"replications": reps, "seed": 0, "level": level},
+                })
+                doc = json.loads(client.fetch(job["job_id"], wait=True,
+                                              timeout=120))
+                loaded.append("scipy.special" in sys.modules)
+                from scipy.special import stdtrit
+                for m in doc["points"][0]["result"]["metrics"].values():
+                    t = float(stdtrit(m["n"] - 1, 0.5 + m["level"] / 2))
+                    expected = t * m["std"] / math.sqrt(m["n"])
+                    halves.append([m["half_width"], expected])
+        print(json.dumps([loaded, halves]))
+    """))
+    assert loaded == [[], True, True, True]
+    assert halves and all(
+        float(got).hex() == float(expected).hex() for got, expected in halves
+    ), halves

@@ -1,6 +1,8 @@
 """E8 tests: restless bandits — indexability, the Whittle index, the LP
 relaxation bound, and policy comparisons."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,9 +134,29 @@ class TestRelaxation:
             assert idx[active_states].max() >= idx[others].min() - 1e-6
 
     def test_invalid_alpha(self):
-        proj = two_state_machine()
-        with pytest.raises(ValueError):
-            average_relaxation_bound(proj, 1.5)
+        # both read the same LP, so both refuse alpha before any solve
+        proj = random_restless_project(4, 0)
+        for solve in (average_relaxation_bound, primal_dual_indices):
+            for alpha in (-0.1, 1.5):
+                with pytest.raises(ValueError, match="alpha must be in"):
+                    solve(proj, alpha)
+
+    @pytest.mark.parametrize(
+        "seed, n_states, alpha, digest",
+        [
+            (0, 4, 0.25, "da1327e2598a5d00"),
+            (1, 3, 0.5, "b298a4354887d451"),
+            (2, 6, 0.4, "b43cb293aeaacf08"),
+            (3, 5, 0.1, "51f5636f996d0a0c"),
+        ],
+    )
+    def test_bound_x_and_indices_are_pinned(self, seed, n_states, alpha, digest):
+        # the bits each gave when the two functions built the LP apart
+        proj = random_restless_project(n_states, np.random.default_rng(seed))
+        bound, x = average_relaxation_bound(proj, alpha)
+        idx = primal_dual_indices(proj, alpha)
+        got = hashlib.sha256(bound.hex().encode() + x.tobytes() + idx.tobytes())
+        assert got.hexdigest()[:16] == digest
 
 
 class TestSimulation:
