@@ -6,7 +6,8 @@ processes, from ``exec`` to exit, for two source trees — a *before* tree
 extracted from a git revision and the *after* tree of this checkout —
 interleaving the runs and alternating which side goes first, so drift
 on a shared host hits both sides alike.  It times two commands: the E1
-run, which computes an interval (and so loads ``scipy.special``), and
+run, which computes level-0.95 intervals (their t-quantiles come from
+``repro/utils/stdtrit_0.95.f8``, so it loads no scipy module), and
 ``repro-experiments packs``, which computes none::
 
     python benchmarks/bench_a08_cold_start.py \\

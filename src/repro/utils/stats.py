@@ -8,8 +8,10 @@ long run must be turned into an interval estimate despite autocorrelation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,15 +26,38 @@ __all__ = [
 ]
 
 
+#: ``stdtrit_<level>.f8`` holds ``stdtrit(df, 0.5 + level / 2)`` for df
+#: 1..999 as little-endian float64, keyed here by that q, the callers' own
+#: expression, so a key equals their q exactly (regenerate with the command
+#: in ``tests/test_utils.py::TestTQuantileTable``)
+_T_TABLES = {0.5 + level / 2: f"stdtrit_{level:.2f}.f8" for level in (0.90, 0.95, 0.99)}
+
+
+@functools.cache
+def _t_table(name: str) -> np.ndarray:
+    table = np.fromfile(Path(__file__).with_name(name), dtype="<f8")
+    table.flags.writeable = False
+    return table
+
+
 def _t_quantile(df, q):
-    """The Student-t quantile: ``stdtrit(df, q)`` is what
-    ``scipy.stats.t.ppf(q, df)`` evaluates, without importing
-    ``scipy.stats``."""
-    # imported with the first interval a process computes, not with this
-    # module: under scipy 1.17 ``scipy.special`` also loads numpy.f2py,
-    # numpy.ma and numpy.testing (0.25-0.3 s), which a daemon awaiting its
-    # first job or a CLI client never needs (docs/ARCHITECTURE.md, "Import
-    # policy")
+    """The Student-t quantile ``stdtrit(df, q)``, which is what
+    ``scipy.stats.t.ppf(q, df)`` evaluates, for an integer df or an
+    integer array of them.
+
+    At the tabulated levels (0.90, 0.95, 0.99) with every df in 1..999 it
+    is read from a table of ``stdtrit``'s own outputs, so the bits are the
+    same either way; otherwise ``stdtrit`` computes it."""
+    name = _T_TABLES.get(q)
+    if name is not None:
+        table = _t_table(name)
+        dfs = np.asarray(df)
+        if dfs.dtype.kind in "iu" and np.all((dfs >= 1) & (dfs <= table.size)):
+            return table[dfs - 1]
+    # imported here, not with this module: under scipy 1.17 ``scipy.special``
+    # also loads numpy.f2py, numpy.ma and numpy.testing (0.25-0.3 s and
+    # ~16 MB), which only an untabulated level or a df over 999 needs
+    # (docs/ARCHITECTURE.md, "Import policy")
     from scipy.special import stdtrit
 
     return stdtrit(df, q)

@@ -142,9 +142,11 @@ def test_scope_check_flags_module_and_class_scope_but_not_functions(tmp_path):
     ]
 
 
-def test_daemon_loads_scipy_special_at_its_first_interval_not_before():
-    # the t-quantile is imported by the first interval a process computes,
-    # and the intervals it gives are stdtrit's, bit for bit
+def test_daemon_loads_no_scipy_at_a_tabulated_level():
+    # at the tabulated levels the t-quantile is read from stdtrit's own
+    # table, so a daemon serving them never loads scipy; an untabulated
+    # level imports stdtrit; either way the intervals are stdtrit's, bit
+    # for bit
     loaded, halves = _run_python(textwrap.dedent("""
         import json, math, sys, tempfile
         from repro.serve.testing import ServerHarness
@@ -152,30 +154,53 @@ def test_daemon_loads_scipy_special_at_its_first_interval_not_before():
         def scipy_loaded():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-        loaded, halves = [], []
+        loaded, docs = [], []
         with tempfile.TemporaryDirectory() as store, \\
                 ServerHarness(store=store) as harness:
             client = harness.client()
             client.health()
             loaded.append(scipy_loaded())
-            for reps, level in ((2, 0.8), (4, 0.95), (7, 0.99)):
+            for reps, level in ((4, 0.95), (7, 0.99), (2, 0.8)):
                 job = client.submit({
                     "schema": "repro.serve/v1",
                     "spec": {"scenario_id": "E1", "axes": {"n_jobs": [6]},
                              "mode": "grid"},
                     "run": {"replications": reps, "seed": 0, "level": level},
                 })
-                doc = json.loads(client.fetch(job["job_id"], wait=True,
-                                              timeout=120))
-                loaded.append("scipy.special" in sys.modules)
-                from scipy.special import stdtrit
-                for m in doc["points"][0]["result"]["metrics"].values():
-                    t = float(stdtrit(m["n"] - 1, 0.5 + m["level"] / 2))
-                    expected = t * m["std"] / math.sqrt(m["n"])
-                    halves.append([m["half_width"], expected])
+                docs.append(json.loads(client.fetch(job["job_id"], wait=True,
+                                                    timeout=120)))
+                loaded.append(scipy_loaded())
+        from scipy.special import stdtrit
+        halves = []
+        for doc in docs:
+            for m in doc["points"][0]["result"]["metrics"].values():
+                t = float(stdtrit(m["n"] - 1, 0.5 + m["level"] / 2))
+                expected = t * m["std"] / math.sqrt(m["n"])
+                halves.append([m["level"], m["half_width"], expected])
         print(json.dumps([loaded, halves]))
     """))
-    assert loaded == [[], True, True, True]
-    assert halves and all(
-        float(got).hex() == float(expected).hex() for got, expected in halves
+    health, at_95, at_99, at_80 = loaded
+    assert health == at_95 == at_99 == []
+    assert "scipy.special" in at_80
+    assert {level for level, _, _ in halves} == {0.95, 0.99, 0.8}
+    assert all(
+        float(got).hex() == float(expected).hex() for _, got, expected in halves
     ), halves
+
+
+def test_cli_run_at_the_default_level_loads_no_scipy(tmp_path):
+    loaded = _run_python(textwrap.dedent(f"""
+        import json, sys
+        from repro.experiments.cli import main
+
+        rc = main(["run", "E1", "--replications", "4", "--no-cache",
+                   "--quiet", "--json", {str(tmp_path / "e1.json")!r}])
+        assert rc == 0, rc
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")))
+    """))
+    assert loaded == []
+    doc = json.loads((tmp_path / "e1.json").read_text(encoding="utf-8"))
+    assert {m["level"] for r in doc["results"] for m in r["metrics"].values()} == {
+        0.95
+    }

@@ -249,6 +249,72 @@ class TestStudentTQuantile:
             assert ci.half_width == float(t) * s / math.sqrt(n)
 
 
+
+class TestTQuantileTable:
+    """At levels 0.90, 0.95 and 0.99 with every df in 1..999,
+    ``_t_quantile`` reads ``src/repro/utils/stdtrit_<level>.f8``; anywhere
+    else it calls ``stdtrit``.  Both paths must give the installed
+    ``stdtrit``'s bits.  If a scipy upgrade changes ``stdtrit``, this
+    fails (and the perfbench pins move too); regenerate the tables from
+    the repository root with::
+
+        python -c "import numpy as np; from scipy.special import stdtrit; [stdtrit(np.arange(1, 1000), 0.5 + l / 2).astype('<f8').tofile(f'src/repro/utils/stdtrit_{l:.2f}.f8') for l in (0.90, 0.95, 0.99)]"
+    """
+
+    DFS = np.arange(1, 1000)
+
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_every_entry_is_stdtrits_bits(self, level, monkeypatch):
+        from scipy import special
+
+        from repro.utils import stats
+
+        q = 0.5 + level / 2
+        expected = special.stdtrit(self.DFS, q)
+        scalars = [special.stdtrit(df, q) for df in self.DFS.tolist()]
+        table = stats._t_table(stats._T_TABLES[q])
+        assert table.dtype == np.float64 and table.shape == (999,)
+        assert table.tobytes() == expected.tobytes()
+        # the table answers without stdtrit, for an array df as in
+        # summarize_rows and a scalar df as in mean_confidence_interval
+        monkeypatch.setattr(special, "stdtrit", None)
+        assert stats._t_quantile(self.DFS, q).tobytes() == expected.tobytes()
+        for df, t in zip(self.DFS.tolist(), scalars):
+            assert float(stats._t_quantile(df, q)).hex() == float(t).hex()
+
+    @pytest.mark.parametrize(
+        "df, q",
+        [
+            (1000, 0.975),
+            (100_000, 0.995),
+            (np.array([5, 999, 1000]), 0.95),
+            (np.array([2, 7]), 0.5 + 0.8 / 2),
+            (4, 0.5 + 0.8 / 2),
+            (4, np.nextafter(0.975, 1.0)),
+            (np.array([3, 4]), np.nextafter(0.995, 0.0)),
+        ],
+    )
+    def test_untabulated_cases_are_stdtrits_bits(self, df, q):
+        from scipy.special import stdtrit
+
+        from repro.utils import stats
+
+        expected = stdtrit(df, q)
+        assert np.asarray(stats._t_quantile(df, q)).tobytes() == (
+            np.asarray(expected).tobytes()
+        )
+
+    def test_intervals_at_the_table_edge(self):
+        from scipy.special import stdtrit
+
+        xs = np.random.default_rng(5).normal(size=1001)
+        for n in (1000, 1001):
+            ci = mean_confidence_interval(xs[:n])
+            t = float(stdtrit(n - 1, 0.975))
+            s = float(np.std(xs[:n], ddof=1))
+            assert ci.half_width == t * s / math.sqrt(n)
+
+
 class TestSerialization:
     def test_jsonable_normalises_numpy_and_tuples(self):
         value = {"a": np.int64(2), "b": (np.float64(1.5), 2), "c": np.arange(3)}
