@@ -55,11 +55,17 @@ def bandit_product_mdp(projects: Sequence[MarkovProject]) -> tuple[FiniteMDP, li
 
 
 def optimal_bandit_value(
-    projects: Sequence[MarkovProject], beta: float, start: tuple | None = None
+    projects: Sequence[MarkovProject],
+    beta: float,
+    start: tuple | None = None,
+    *,
+    product: tuple[FiniteMDP, list[tuple]] | None = None,
 ) -> float:
     """Exact optimal expected discounted reward from ``start`` (default: all
-    projects in state 0), via policy iteration on the product MDP."""
-    mdp, states = bandit_product_mdp(projects)
+    projects in state 0), via policy iteration on the product MDP.
+    ``product`` is ``bandit_product_mdp(projects)``, when the caller has
+    already built it."""
+    mdp, states = bandit_product_mdp(projects) if product is None else product
     sol = policy_iteration(mdp, beta)
     if start is None:
         start = tuple(0 for _ in projects)
@@ -71,11 +77,15 @@ def evaluate_priority_policy(
     rule: IndexRule,
     beta: float,
     start: tuple | None = None,
+    *,
+    product: tuple[FiniteMDP, list[tuple]] | None = None,
 ) -> float:
     """Exact discounted value of the priority policy induced by ``rule``
     (engage the available project of highest ``rule.index(pid, state)``;
-    ties to the lowest project id), via a linear solve on the induced chain."""
-    mdp, states = bandit_product_mdp(projects)
+    ties to the lowest project id), via a linear solve on the induced chain.
+    ``product`` is ``bandit_product_mdp(projects)``, when the caller has
+    already built it."""
+    mdp, states = bandit_product_mdp(projects) if product is None else product
     N = len(projects)
     policy = np.empty(len(states), dtype=int)
     for i, s in enumerate(states):

@@ -11,6 +11,7 @@ grows (E16).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -51,6 +52,7 @@ class InTree:
     """
 
     parent: np.ndarray
+    _levels: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.parent, dtype=np.int64)
@@ -60,7 +62,7 @@ class InTree:
         if np.any(p == np.arange(n)):
             raise ValueError("a job cannot be its own parent")
         self.parent = p
-        _heights(p.tolist())  # raises on a cycle
+        self._levels = _heights(p.tolist())  # raises on a cycle
 
     @property
     def n_jobs(self) -> int:
@@ -70,7 +72,7 @@ class InTree:
     def levels(self) -> np.ndarray:
         """Height of each job: number of edges on the path to its root.
         HLF serves greater heights first."""
-        return np.array(_heights(self.parent.tolist()), dtype=np.int64)
+        return np.array(self._levels, dtype=np.int64)
 
     def children_counts(self) -> np.ndarray:
         """Number of direct predecessors of each job."""
@@ -114,8 +116,9 @@ def random_intree(n: int, rng: np.random.Generator | int | None = None) -> InTre
     attaches to a uniformly chosen earlier job; job 0 is the root."""
     rng = as_generator(rng)
     parent = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        parent[i] = int(rng.integers(0, i))
+    # one broadcast draw: the same values, and the same generator state, as
+    # drawing rng.integers(0, i) for i = 1 .. n-1 in turn
+    parent[1:] = rng.integers(0, np.arange(1, n))
     return InTree(parent=parent)
 
 
@@ -166,10 +169,10 @@ def simulate_intree_makespan(
         raise ValueError("need m >= 1 and rate > 0")
     parent = tree.parent.tolist()
     pending = tree.children_counts().tolist()
-    available = [i for i in range(len(parent)) if pending[i] == 0]
+    available = [i for i in range(len(parent)) if pending[i] == 0]  # kept sorted
     t = 0.0
     for _ in range(len(parent)):
-        running = choose(sorted(available), m)
+        running = choose(available[:], m)
         if not running or len(running) > m:
             raise ValueError("policy must run between 1 and m available jobs")
         k = len(running)
@@ -180,5 +183,5 @@ def simulate_intree_makespan(
         if succ != -1:
             pending[succ] -= 1
             if pending[succ] == 0:
-                available.append(succ)
+                insort(available, succ)
     return t

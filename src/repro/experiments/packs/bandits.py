@@ -89,6 +89,7 @@ def simulate_e7(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     dictionary the registry entry's shape checks are evaluated on.
     """
     from repro.bandits import (
+        bandit_product_mdp,
         evaluate_priority_policy,
         gittins_indices_restart,
         gittins_indices_vwb,
@@ -102,14 +103,20 @@ def simulate_e7(ss: np.random.SeedSequence, params: Params) -> dict[str, float]:
     beta = float(params["beta"])
     n_proj, n_states = int(params["n_projects"]), int(params["n_states"])
     projects = [random_project(n_states, rng) for _ in range(n_proj)]
-    opt = optimal_bandit_value(projects, beta)
-    git = evaluate_priority_policy(projects, gittins_policy(projects, beta).rule, beta)
+    # one product MDP serves the optimum and both priority policies
+    product = bandit_product_mdp(projects)
+    opt = optimal_bandit_value(projects, beta, product=product)
+    git = evaluate_priority_policy(
+        projects, gittins_policy(projects, beta).rule, beta, product=product
+    )
     myopic_table = {
         (pid, s): float(projects[pid].R[s])
         for pid in range(n_proj)
         for s in range(n_states)
     }
-    myop = evaluate_priority_policy(projects, StaticIndexRule(myopic_table), beta)
+    myop = evaluate_priority_policy(
+        projects, StaticIndexRule(myopic_table), beta, product=product
+    )
 
     proj = random_project(int(params["algo_states"]), rng)
     algo_diff = float(

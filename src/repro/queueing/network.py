@@ -16,8 +16,10 @@ cµ, Klimov, and fluid-derived rules plug in directly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,14 +168,19 @@ def simulate_network(
     positive but subnormal ``arrival_rate`` (``1.0 / rate`` overflows)
     gives the rate-0 answer, after consuming that one draw.
 
-    The engine is a min-scan over the live events (the pending arrival
-    per class, one completion per busy server, the warm-up reset and the
-    next snapshot) in ``(time, priority, seq)`` order: the warm-up reset
-    (priority -10) wins time ties, snapshots (priority 10) lose them, and
-    arrivals and completions (priority 0) tie-break on scheduling order.
-    Every draw is made when the event that needs it happens, so ``rng``
-    is left exactly after the run's last draw; E12's rho sweep carries
-    one generator from run to run and relies on this.
+    The engine is one ``heapq`` calendar of ``(time, seq, class, job)``
+    tuples: the pending arrival per class (``job`` is ``None``) and the
+    completion of every job in service, ordered by time and then by
+    scheduling order. The warm-up reset and the next snapshot live
+    outside it: the reset wins time ties and a snapshot loses them. A
+    job record is ``[class, arrived, remaining, segment start,
+    completion seq]``, with ``remaining`` negative until the first
+    service start samples it. Preempting a job clears its completion
+    seq, so the completion left on the calendar is skipped when it
+    surfaces and does not count toward ``max_events``. Every draw is
+    made when the event that needs it happens, so ``rng`` is left
+    exactly after the run's last draw; E12's rho sweep carries one
+    generator from run to run and relies on this.
     """
     n = network.n_classes
     classes = network.classes
@@ -181,6 +188,9 @@ def simulate_network(
     K = len(stations)
     rexp = rng.exponential
     rrand = rng.random
+    push = heapq.heappush
+    pop = heapq.heappop
+    replace = heapq.heapreplace
     inf = math.inf
     cum = np.cumsum(network.routing, axis=1)
     cum_rows = [list(cum[j]) for j in range(n)]
@@ -203,197 +213,174 @@ def simulate_network(
     disc_codes = [codes[st.discipline] for st in stations]
     n_servers = [st.n_servers for st in stations]
     priorities = [list(st.priority) for st in stations]
-    # jobs are [cls, arrived, remaining, started] (remaining is sampled at
-    # the first service start); busy entries are
-    # [job, completion_time, completion_seq, start_time]
-    queues: list[list] = [[] for _ in range(n)]
-    busy: list[list] = [[] for _ in range(K)]
+    queues = [deque() for _ in range(n)]
+    busy: list[list] = [[] for _ in range(K)]  # job records in service
     qlevel = [0.0] * n
     qarea = [0.0] * n
     qlast = [0.0] * n
     mon_start = 0.0
-    wcount = [0] * n
     wsum = [0.0] * n
     wmean = [0.0] * n
     visits = [0] * n
     tlevel = 0.0
     tpeak = 0.0
     seq = 0
+    cal: list[tuple] = []
     ascale = [(1.0 / c.arrival_rate) if c.arrival_rate > 0 else None for c in classes]
-    arr_time = [inf] * n
-    arr_seq = [0] * n
     for j in range(n):
         if ascale[j] is not None:
-            arr_time[j] = rexp(ascale[j])
-            arr_seq[j] = seq
+            push(cal, (rexp(ascale[j]), seq, j, None))
             seq += 1
     warmup = warmup_fraction * horizon
-    wu_time = warmup if warmup > 0 else None
+    wu_time = warmup if warmup > 0 else inf
     traj_t: list[float] = []
     traj_q: list[float] = []
     snap_time = 0.0 if record_trajectory else inf
     step = horizon / trajectory_points if record_trajectory else inf
 
     for _ in range(max_events):
-        # min-scan over the live events. The warm-up reset is seeded as the
-        # incumbent so its -10 priority wins time ties (bkind 3 suppresses
-        # seq comparisons against it); arrivals and completions share
-        # priority 0 and tie-break on seq alone.
-        bs = -1
-        bkind = 0  # 1 = arrival, 2 = completion, 3 = warm-up, 4 = snapshot
-        bj = -1
-        bentry = None
-        if wu_time is not None:
-            bt = wu_time
-            bkind = 3
+        while cal:
+            t, eseq, cls, job = cal[0]
+            if job is None or job[4] == eseq:
+                break
+            pop(cal)  # a preempted service's completion
         else:
-            bt = inf
-        for j in range(n):
-            t = arr_time[j]
-            if t < bt or (t == bt and bkind != 3 and arr_seq[j] < bs):
-                bt = t
-                bs = arr_seq[j]
-                bkind = 1
-                bj = j
-        for k in range(K):
-            for e in busy[k]:
-                t = e[1]
-                if t < bt or (t == bt and bkind != 3 and e[2] < bs):
-                    bt = t
-                    bs = e[2]
-                    bkind = 2
-                    bk = k
-                    bentry = e
-        if snap_time < bt:
-            # priority 10: a snapshot only wins when strictly earlier
-            bt = snap_time
-            bkind = 4
-        if bt > horizon:
-            break
-        now = bt
-        if bkind <= 2:
-            # --- arrival or completion: find the class entering, if any ---
-            if bkind == 1:
-                ent = bj
-                tlevel += 1.0
-                if tlevel > tpeak:
-                    tpeak = tlevel
-            else:
-                k = bk
-                busy_k = busy[k]
-                job = bentry[0]
-                busy_k.remove(bentry)
-                cls = job[0]
-                visits[cls] += 1
-                qarea[cls] += qlevel[cls] * (now - qlast[cls])
-                qlevel[cls] -= 1.0
-                qlast[cls] = now
-                u = rrand()
-                if u < row_last[cls]:
-                    ent = bisect_right(cum_rows[cls], u)
-                else:
-                    ent = -1
-                    tlevel -= 1.0
-            if ent >= 0:
-                # --- job enters class ent: start, preempt, or queue -------
-                job = [ent, now, -1.0, -1.0]
-                qarea[ent] += qlevel[ent] * (now - qlast[ent])
-                qlevel[ent] += 1.0
-                qlast[ent] = now
-                ke = station_of[ent]
-                busy_e = busy[ke]
-                start = len(busy_e) < n_servers[ke]
-                if not start and disc_codes[ke] == 1:
-                    # preemptive: bump the worst job in service if outranked
-                    pp = prio_pos[ke]
-                    worst = None
-                    worst_p = -1
-                    for e in busy_e:
-                        p = pp.get(e[0][0], 0)
-                        if worst is None or p > worst_p:
-                            worst, worst_p = e, p
-                    if pp.get(ent, 0) < worst_p:
-                        wjob = worst[0]
-                        busy_e.remove(worst)
-                        wjob[2] -= now - worst[3]
-                        if wjob[2] < 1e-12:
-                            wjob[2] = 1e-12
-                        queues[wjob[0]].insert(0, wjob)
-                        start = True
-                if start:
-                    is_exp, s = samplers[ent]
-                    rem = float(rexp(s)) if is_exp else float(s(rng))
-                    job[2] = rem
-                    job[3] = now
-                    wcount[ent] += 1
-                    wsum[ent] += 1.0
-                    wmean[ent] += (1.0 / wsum[ent]) * ((now - job[1]) - wmean[ent])
-                    busy_e.append([job, now + rem, seq, now])
-                    seq += 1
-                else:
-                    queues[ent].append(job)
-            if bkind == 1:
-                arr_time[ent] = now + rexp(ascale[ent])
-                arr_seq[ent] = seq
-                seq += 1
-            else:
-                # --- backfill freed servers from the queues ---------------
-                ns = n_servers[k]
-                d = disc_codes[k]
-                while len(busy_k) < ns:
-                    njob = None
-                    if d <= 1:
-                        for cls2 in priorities[k]:
-                            q2 = queues[cls2]
-                            if q2:
-                                njob = q2.pop(0)
-                                break
-                    else:
-                        newest = d == 3
-                        best_cls = -1
-                        best_pos = -1
-                        for j2 in station_classes[k]:
-                            q2 = queues[j2]
-                            if q2:
-                                pos = -1 if newest else 0
-                                cand = q2[pos]
-                                if njob is None or (
-                                    cand[1] > njob[1] if newest else cand[1] < njob[1]
-                                ):
-                                    njob, best_cls, best_pos = cand, j2, pos
-                        if njob is not None:
-                            queues[best_cls].pop(best_pos)
-                    if njob is None:
-                        break
-                    rem = njob[2]
-                    if rem < 0:
-                        is_exp, s = samplers[njob[0]]
-                        rem = float(rexp(s)) if is_exp else float(s(rng))
-                        njob[2] = rem
-                    if njob[3] < 0:
-                        njob[3] = now
-                        cls2 = njob[0]
-                        wcount[cls2] += 1
-                        wsum[cls2] += 1.0
-                        wmean[cls2] += (1.0 / wsum[cls2]) * ((now - njob[1]) - wmean[cls2])
-                    busy_k.append([njob, now + rem, seq, now])
-                    seq += 1
-        elif bkind == 3:
+            t = inf
+        if wu_time <= t and wu_time <= snap_time:
             # --- warm-up reset --------------------------------------------
-            wu_time = None
+            now = wu_time
+            if now > horizon:
+                break
+            wu_time = inf
             for j in range(n):
                 qarea[j] = 0.0
                 qlast[j] = now
-                wcount[j] = 0
                 wsum[j] = 0.0
                 wmean[j] = 0.0
                 visits[j] = 0
             mon_start = now
-        else:
+            continue
+        if snap_time < t:
             # --- trajectory snapshot --------------------------------------
+            now = snap_time
             traj_t.append(now)
             traj_q.append(tlevel)
             snap_time = now + step if now + step <= horizon else inf
+            continue
+        if t > horizon:
+            break
+        now = t
+        # the event stays the calendar's head until the first event it
+        # schedules replaces it in one sift; later ones are pushed
+        put = replace
+        if job is None:
+            # --- exogenous arrival ----------------------------------------
+            ent = cls
+            tlevel += 1.0
+            if tlevel > tpeak:
+                tpeak = tlevel
+        else:
+            # --- service completion: route the job on ---------------------
+            k = station_of[cls]
+            busy_k = busy[k]
+            busy_k.remove(job)
+            visits[cls] += 1
+            qarea[cls] += qlevel[cls] * (now - qlast[cls])
+            qlevel[cls] -= 1.0
+            qlast[cls] = now
+            u = rrand()
+            if u < row_last[cls]:
+                ent = bisect_right(cum_rows[cls], u)
+            else:
+                ent = -1
+                tlevel -= 1.0
+        if ent >= 0:
+            # --- job enters class ent: start, preempt, or queue -----------
+            qarea[ent] += qlevel[ent] * (now - qlast[ent])
+            qlevel[ent] += 1.0
+            qlast[ent] = now
+            ke = station_of[ent]
+            busy_e = busy[ke]
+            start = len(busy_e) < n_servers[ke]
+            if not start and disc_codes[ke] == 1:
+                # preemptive: bump the worst job in service if outranked
+                pp = prio_pos[ke]
+                worst = None
+                worst_p = -1
+                for w in busy_e:
+                    p = pp[w[0]]
+                    if p > worst_p:
+                        worst, worst_p = w, p
+                if pp[ent] < worst_p:
+                    busy_e.remove(worst)
+                    worst[2] -= now - worst[3]
+                    if worst[2] < 1e-12:
+                        worst[2] = 1e-12
+                    worst[4] = -1
+                    queues[worst[0]].appendleft(worst)
+                    start = True
+            if start:
+                is_exp, s = samplers[ent]
+                rem = float(rexp(s)) if is_exp else float(s(rng))
+                wsum[ent] += 1.0  # a wait of 0
+                wmean[ent] += (1.0 / wsum[ent]) * (0.0 - wmean[ent])
+                njob = [ent, now, rem, now, seq]
+                busy_e.append(njob)
+                put(cal, (now + rem, seq, ent, njob))
+                put = push
+                seq += 1
+            else:
+                queues[ent].append([ent, now, -1.0, -1.0, -1])
+        if job is None:
+            put(cal, (now + rexp(ascale[ent]), seq, ent, None))
+            seq += 1
+        else:
+            # --- backfill freed servers from the queues -------------------
+            ns = n_servers[k]
+            d = disc_codes[k]
+            while len(busy_k) < ns:
+                njob = None
+                if d <= 1:
+                    for cls2 in priorities[k]:
+                        q2 = queues[cls2]
+                        if q2:
+                            njob = q2.popleft()
+                            break
+                else:
+                    newest = d == 3
+                    best_q = None
+                    for j2 in station_classes[k]:
+                        q2 = queues[j2]
+                        if q2:
+                            cand = q2[-1] if newest else q2[0]
+                            if njob is None or (
+                                cand[1] > njob[1] if newest else cand[1] < njob[1]
+                            ):
+                                njob, best_q = cand, q2
+                    if njob is not None:
+                        if newest:
+                            best_q.pop()
+                        else:
+                            best_q.popleft()
+                if njob is None:
+                    break
+                cls2 = njob[0]
+                rem = njob[2]
+                if rem < 0:
+                    # first service start: sample the work, record the wait
+                    is_exp, s = samplers[cls2]
+                    rem = float(rexp(s)) if is_exp else float(s(rng))
+                    njob[2] = rem
+                    wsum[cls2] += 1.0
+                    wmean[cls2] += (1.0 / wsum[cls2]) * ((now - njob[1]) - wmean[cls2])
+                njob[3] = now
+                njob[4] = seq
+                busy_k.append(njob)
+                put(cal, (now + rem, seq, cls2, njob))
+                put = push
+                seq += 1
+            if put is replace:
+                pop(cal)
 
     denom = horizon - mon_start
     Lbar = np.array(
@@ -404,7 +391,7 @@ def simulate_network(
             for j in range(n)
         ]
     )
-    W = np.array([wmean[j] if wcount[j] else math.nan for j in range(n)])
+    W = np.array([wmean[j] if wsum[j] else math.nan for j in range(n)])
     costs = np.array([c.cost for c in classes])
     return NetworkResult(
         mean_queue_lengths=Lbar,

@@ -9,14 +9,19 @@ permutation), :func:`repro.bandits.heterogeneous.simulate_heterogeneous_restless
 (the rule read and ``np.searchsorted`` called per project and epoch),
 E9's switching-cost path (the joint MDP built once for the optimum and
 once per heuristic, each heuristic computing its own index tables),
-E19's (the bound and the Whittle tables solved apart), and the lockstep
-searches :func:`repro.bandits.restless._bisect` and
+E7's (the product MDP built once for the optimum and once per priority
+policy), E19's (the bound and the Whittle tables solved apart), the
+lockstep searches :func:`repro.bandits.restless._bisect` and
 :func:`repro.bandits.heterogeneous._dual_minimum` taking one step per
-round, kept verbatim apart from their names.  The library replaced them
-with stacked value iteration, a blocked array scan, list-based stepping,
-one shared MDP build and searches that speculate several steps per round,
-all of which must stay bit-for-bit equal;
-``tests/test_index_oracles.py`` checks them against these oracles.
+round, and E16's :func:`repro.batch.precedence.random_intree` (one draw
+per job) and :func:`repro.batch.precedence.simulate_intree_makespan`
+(the available jobs sorted afresh at every completion), kept verbatim
+apart from their names.  The library replaced them with stacked value
+iteration, a blocked array scan, list-based stepping, shared MDP builds,
+searches that speculate several steps per round, one broadcast draw and
+a list kept sorted by insertion, all of which must stay bit-for-bit
+equal; ``tests/test_index_oracles.py`` checks them against these
+oracles.
 """
 
 from __future__ import annotations
@@ -30,19 +35,24 @@ from repro.bandits.gittins import gittins_indices_vwb
 from repro.bandits.heterogeneous import _dual, _gather
 from repro.bandits.project import MarkovProject, random_project
 from repro.bandits.restless import RestlessProject
+from repro.batch.precedence import InTree
 from repro.core.conservation import priority_performance_vector
 from repro.core.indices import IndexRule
 from repro.mdp.core import FiniteMDP
 from repro.mdp.solvers import policy_iteration
+from repro.utils.rng import as_generator
 
 __all__ = [
     "oracle_gittins_indices_restart",
     "oracle_closest_priority_order",
     "oracle_simulate_heterogeneous_restless",
+    "oracle_simulate_e7",
     "oracle_simulate_e9",
     "oracle_simulate_e19",
     "oracle_bisect",
     "oracle_dual_minimum",
+    "oracle_random_intree",
+    "oracle_simulate_intree_makespan",
 ]
 
 
@@ -217,6 +227,41 @@ def _oracle_gittins_with_hysteresis(
     return choose
 
 
+def oracle_simulate_e7(ss: np.random.SeedSequence, params) -> dict[str, float]:
+    from repro.bandits import (
+        evaluate_priority_policy,
+        gittins_indices_restart,
+        gittins_indices_vwb,
+        gittins_policy,
+        optimal_bandit_value,
+    )
+    from repro.core.indices import StaticIndexRule
+
+    rng = np.random.default_rng(ss)
+    beta = float(params["beta"])
+    n_proj, n_states = int(params["n_projects"]), int(params["n_states"])
+    projects = [random_project(n_states, rng) for _ in range(n_proj)]
+    opt = optimal_bandit_value(projects, beta)
+    git = evaluate_priority_policy(projects, gittins_policy(projects, beta).rule, beta)
+    myopic_table = {
+        (pid, s): float(projects[pid].R[s])
+        for pid in range(n_proj)
+        for s in range(n_states)
+    }
+    myop = evaluate_priority_policy(projects, StaticIndexRule(myopic_table), beta)
+
+    proj = random_project(int(params["algo_states"]), rng)
+    algo_diff = float(
+        np.max(np.abs(gittins_indices_vwb(proj, beta) - gittins_indices_restart(proj, beta)))
+    )
+    return {
+        "opt": float(opt),
+        "gittins_gap": float(abs(git / opt - 1.0)),
+        "myopic_loss": float(1.0 - myop / opt),
+        "algo_diff": algo_diff,
+    }
+
+
 def oracle_simulate_e9(ss: np.random.SeedSequence, params) -> dict[str, float]:
     rng = np.random.default_rng(ss)
     beta, cost = float(params["beta"]), float(params["cost"])
@@ -339,3 +384,40 @@ def oracle_dual_minimum(
     lam_star = 0.5 * (a + b)
     bound = yield from _dual(ks, lam_star, passive_budget)
     return bound, lam_star
+
+
+def oracle_random_intree(n: int, rng: np.random.Generator | int | None = None) -> InTree:
+    rng = as_generator(rng)
+    parent = np.full(n, -1, dtype=np.int64)
+    for i in range(1, n):
+        parent[i] = int(rng.integers(0, i))
+    return InTree(parent=parent)
+
+
+def oracle_simulate_intree_makespan(
+    tree: InTree,
+    m: int,
+    rate: float,
+    choose: Callable[[list[int], int], list[int]],
+    rng: np.random.Generator,
+) -> float:
+    if m < 1 or rate <= 0:
+        raise ValueError("need m >= 1 and rate > 0")
+    parent = tree.parent.tolist()
+    pending = tree.children_counts().tolist()
+    available = [i for i in range(len(parent)) if pending[i] == 0]
+    t = 0.0
+    for _ in range(len(parent)):
+        running = choose(sorted(available), m)
+        if not running or len(running) > m:
+            raise ValueError("policy must run between 1 and m available jobs")
+        k = len(running)
+        t += rng.exponential(1.0 / (rate * k))
+        winner = running[int(rng.integers(0, k))]
+        available.remove(winner)
+        succ = parent[winner]
+        if succ != -1:
+            pending[succ] -= 1
+            if pending[succ] == 0:
+                available.append(succ)
+    return t

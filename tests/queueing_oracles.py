@@ -8,10 +8,13 @@ pending lists and one scalar ``sample(rng)`` call per draw) and
 :func:`repro.queueing.fluid.fluid_trajectory` (one clipped Euler step per
 loop iteration), kept verbatim apart from their names (``self`` is
 ``system`` in the polling oracle).  The library's engines replaced them
-with flat min-scan / pointer-window loops and regime-block accumulation
-that must stay bit-for-bit equal; ``tests/test_backend_equivalence.py``
-checks the queueing engines against these oracles on randomised networks
-and polling systems, and ``tests/test_fluid_oracle.py`` the fluid
+with a flat ``heapq`` calendar of plain tuples (no ``Event`` objects,
+callbacks or monitors), a pointer-window server walk and regime-block
+accumulation, which must stay bit-for-bit equal;
+``tests/test_backend_equivalence.py`` checks the queueing engines
+against these oracles on randomised networks (with and without
+simultaneous events), on a scripted run of fixed draws and on
+randomised polling systems, and ``tests/test_fluid_oracle.py`` the fluid
 integrator on randomised fluid models.
 """
 

@@ -163,8 +163,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+# 12 examples per property in tier-1; under the "equivalence" profile
+# (tests/conftest.py) the profile's example count applies instead
 _PROPERTY_SETTINGS = settings(
-    max_examples=12,
+    max_examples=settings.default.max_examples
+    if settings.get_current_profile_name() == "equivalence"
+    else 12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -450,6 +454,21 @@ def _assert_network_results_identical(ev, vec, ctx):
         np.testing.assert_array_equal(ev.trajectory, vec.trajectory, err_msg=ctx)
 
 
+class _GridDraws:
+    """A generator whose exponential draws are rounded up to a multiple of
+    1/2, so event times fall on a grid and tie with each other and with
+    the snapshots; every other method is the wrapped generator's."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def exponential(self, scale=1.0, size=None):
+        return math.ceil(2.0 * self.rng.exponential(scale, size)) / 2.0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 @_PROPERTY_SETTINGS
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -457,17 +476,21 @@ def _assert_network_results_identical(ev, vec, ctx):
     warmup=st.sampled_from([0.0, 0.1]),
     record_trajectory=st.booleans(),
     max_events=st.one_of(st.just(20_000_000), st.integers(1, 300)),
+    grid=st.booleans(),
     data=st.data(),
 )
 def test_property_flat_network_engine_equivalence(
-    seed, horizon, warmup, record_trajectory, max_events, data
+    seed, horizon, warmup, record_trajectory, max_events, grid, data
 ):
     # engine-level coverage beyond the registered scenarios: a random
-    # 3-class 2-station network with randomised disciplines (all four),
-    # service families, arrival rates, routing chain and server counts —
-    # simulate_network must return bit-for-bit the heap-calendar oracle's
-    # NetworkResult (trajectory included, at any event budget) and leave
-    # the generator in the same state
+    # network of 1-3 stations with 1-3 servers each and 1-5 classes, with
+    # randomised disciplines (all four), service families, arrival rates
+    # and routing (feedback included) — simulate_network must return
+    # bit-for-bit the heap-calendar oracle's NetworkResult (trajectory
+    # included, at any event budget) and leave the generator in the same
+    # state. On the grid, exponential draws are rounded to multiples of
+    # 1/2 and the snapshots fall on integers, so simultaneous events are
+    # common and their tie-break order is exercised.
     from queueing_oracles import oracle_simulate_network
 
     from repro.queueing.network import (
@@ -477,31 +500,40 @@ def test_property_flat_network_engine_equivalence(
         simulate_network,
     )
 
-    station_of = [0, data.draw(st.integers(0, 1), label="station1"), 1]
-    services = [_service_law(data, j) for j in range(3)]
+    n_stations = data.draw(st.integers(1, 3), label="stations")
+    n = data.draw(st.integers(1, 5), label="classes")
+    station_of = [
+        data.draw(st.integers(0, n_stations - 1), label=f"station{j}") for j in range(n)
+    ]
+    services = [_service_law(data, j) for j in range(n)]
     # optional rates are exactly zero or bounded away from it — a
     # subnormal rate yields an infinite inter-arrival time, which the
     # oracle's event calendar refuses to schedule (simulate_network treats
     # it as rate 0; see test_subnormal_arrival_rate_never_arrives)
     opt_rate = st.one_of(st.just(0.0), st.floats(0.05, 0.5))
-    lams = [
-        data.draw(st.floats(0.2, 0.6), label="lam0"),
-        data.draw(opt_rate, label="lam1"),
-        data.draw(opt_rate, label="lam2"),
+    lams = [data.draw(st.floats(0.2, 0.6), label="lam0")] + [
+        data.draw(opt_rate, label=f"lam{j}") for j in range(1, n)
     ]
-    routing = np.zeros((3, 3))
-    routing[0, 1] = data.draw(st.floats(0.0, 0.9), label="p01")
-    routing[1, 2] = data.draw(st.floats(0.0, 0.9), label="p12")
+    # each class routes to up to two classes (itself included) with
+    # probabilities of at most 0.45 each, so every row sums to <= 0.9
+    routing = np.zeros((n, n))
+    for i in range(n):
+        hops = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.floats(0.0, 0.45)), max_size=2),
+            label=f"routes{i}",
+        )
+        for j, p in hops:
+            routing[i, j] += p
     stations = []
-    for k in range(2):
-        classes_here = [j for j in range(3) if station_of[j] == k]
+    for k in range(n_stations):
+        classes_here = [j for j in range(n) if station_of[j] == k]
         disc = data.draw(
             st.sampled_from(["priority", "preemptive", "fifo", "lcfs"]),
             label=f"disc{k}",
         )
         stations.append(
             StationConfig(
-                n_servers=data.draw(st.integers(1, 2), label=f"ns{k}"),
+                n_servers=data.draw(st.integers(1, 3), label=f"ns{k}"),
                 discipline=disc,
                 priority=tuple(
                     data.draw(st.permutations(classes_here), label=f"prio{k}")
@@ -511,24 +543,107 @@ def test_property_flat_network_engine_equivalence(
     net = QueueingNetwork(
         [
             ClassConfig(station_of[j], services[j], arrival_rate=lams[j])
-            for j in range(3)
+            for j in range(n)
         ],
         stations,
         routing,
     )
+    if grid:
+        horizon = float(10 * data.draw(st.integers(3, 20), label="grid_horizon"))
+        points = data.draw(st.sampled_from([1, 2, 5, 10]), label="grid_points")
+    else:
+        points = data.draw(st.integers(1, 50), label="points")
     kwargs = dict(
         warmup_fraction=warmup,
         max_events=max_events,
         record_trajectory=record_trajectory,
-        trajectory_points=data.draw(st.integers(1, 50), label="points"),
+        trajectory_points=points,
     )
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(2)):
         rng_oracle, rng_engine = np.random.default_rng(ss), np.random.default_rng(ss)
-        ev = oracle_simulate_network(net, horizon, rng_oracle, **kwargs)
-        vec = simulate_network(net, horizon, rng_engine, **kwargs)
-        ctx = f"network seed={seed} rep={r}"
+        draws = _GridDraws if grid else lambda rng: rng
+        ev = oracle_simulate_network(net, horizon, draws(rng_oracle), **kwargs)
+        vec = simulate_network(net, horizon, draws(rng_engine), **kwargs)
+        ctx = f"network seed={seed} rep={r} grid={grid}"
         _assert_network_results_identical(ev, vec, ctx)
         assert rng_oracle.bit_generator.state == rng_engine.bit_generator.state, ctx
+
+
+class _FixedDraws:
+    """A stand-in generator that hands out one fixed list of values, in
+    call order, to ``exponential`` and ``random`` alike; any change in the
+    order of draws moves every later value to a different use."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def _next(self) -> float:
+        assert self.used < len(self.values), "more draws than the scenario has"
+        value = self.values[self.used]
+        self.used += 1
+        return value
+
+    def exponential(self, scale=1.0, size=None):
+        return self._next()
+
+    def random(self):
+        return self._next()
+
+
+def test_network_engine_time_ties_with_fixed_draws():
+    # every tie the calendar has to break, on one instant: at t = 2 the
+    # warm-up reset, a snapshot, a class-2 completion (seq 3, routed to
+    # class 0) and a class-1 arrival (seq 8) coincide, and the arrival
+    # preempts the class-0 job it already preempted at t = 1. Seq order
+    # puts the completion first although its class id is larger; the
+    # reset must come first and the snapshot last.
+    from repro.distributions import Exponential
+    from queueing_oracles import oracle_simulate_network
+
+    from repro.queueing.network import (
+        ClassConfig,
+        QueueingNetwork,
+        StationConfig,
+        simulate_network,
+    )
+
+    routing = np.zeros((3, 3))
+    routing[2, 0] = 0.5
+    net = QueueingNetwork(
+        [
+            ClassConfig(0, Exponential(1.0), arrival_rate=1.0),
+            ClassConfig(0, Exponential(1.0), arrival_rate=1.0),
+            ClassConfig(1, Exponential(1.0), arrival_rate=1.0),
+        ],
+        [
+            StationConfig(discipline="preemptive", priority=(1, 0)),
+            StationConfig(discipline="fifo"),
+        ],
+        routing,
+    )
+    draws = [
+        0.5, 1.0, 0.25,  # first arrivals of classes 0, 1, 2
+        1.75, 100.0,  # t=0.25: class 2 served until 2, next arrival
+        2.5, 100.0,  # t=0.5: class 0 served until 3, next arrival
+        0.5, 1.0,  # t=1: class 1 preempts class 0, next arrival at 2
+        0.75,  # t=1.5: class 1 leaves; class 0 resumes until 3.5
+        0.25,  # t=2: class 2 completes and routes to class 0
+        0.25, 100.0,  # t=2: class 1 preempts class 0 again
+        0.75,  # t=2.25: class 1 leaves; class 0 resumes until 3.75
+        0.75, 1.0,  # t=3.75: class 0 leaves; the routed job starts
+        0.75,  # t=4.75: it leaves
+    ]
+    kwargs = dict(warmup_fraction=0.2, record_trajectory=True, trajectory_points=5)
+    oracle_draws, engine_draws = _FixedDraws(draws), _FixedDraws(draws)
+    ev = oracle_simulate_network(net, 10.0, oracle_draws, **kwargs)
+    vec = simulate_network(net, 10.0, engine_draws, **kwargs)
+    _assert_network_results_identical(ev, vec, "fixed draws")
+    assert oracle_draws.used == engine_draws.used == len(draws)
+    # the completion at t = 2 counts after the reset, and the snapshot at
+    # t = 2 sees both the routed job and the arrival
+    assert list(vec.visit_counts) == [2, 1, 1]
+    assert list(vec.trajectory[1]) == [2.0, 3.0]
 
 
 def test_subnormal_arrival_rate_never_arrives():

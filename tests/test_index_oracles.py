@@ -1,4 +1,5 @@
-"""The stacked, blocked and list-based index computations against the
+"""The stacked, blocked and list-based index computations, and E16's
+broadcast tree draw and insertion-sorted makespan simulation, against the
 one-at-a-time loops they replaced (``tests/index_oracles.py``).
 
 Golden statistics compare at ``RTOL = 1e-9`` and A1/A3 have no perfbench
@@ -24,9 +25,12 @@ from index_oracles import (
     oracle_closest_priority_order,
     oracle_dual_minimum,
     oracle_gittins_indices_restart,
+    oracle_random_intree,
+    oracle_simulate_e7,
     oracle_simulate_e9,
     oracle_simulate_e19,
     oracle_simulate_heterogeneous_restless,
+    oracle_simulate_intree_makespan,
 )
 from repro.bandits import (
     ProjectIndexTables,
@@ -41,6 +45,8 @@ from repro.bandits import (
 from repro.bandits import gittins as gittins_module
 from repro.bandits import heterogeneous as heterogeneous_module
 from repro.bandits import restless as restless_module
+from repro.batch import random_intree, simulate_intree_makespan
+from repro.batch.precedence import hlf_policy, random_policy
 from repro.core import achievable_region as region_module
 from repro.core import achievable_region_lp
 from repro.experiments import get_scenario
@@ -169,6 +175,55 @@ def test_one_build_e9_equals_three_build_path(seed, n_projects, n_states, beta, 
     assert _bits(get_scenario("E9").simulate(ss, params)) == _bits(
         oracle_simulate_e9(ss, params)
     )
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=_SEED,
+    n_projects=st.integers(1, 3),
+    n_states=st.integers(2, 4),
+    beta=st.floats(0.0, 0.95),
+)
+def test_one_build_e7_equals_three_build_path(seed, n_projects, n_states, beta):
+    params = get_scenario("E7").params(
+        {"n_projects": n_projects, "n_states": n_states, "beta": beta}
+    )
+    ss = np.random.SeedSequence(seed)
+    assert _bits(get_scenario("E7").simulate(ss, params)) == _bits(
+        oracle_simulate_e7(ss, params)
+    )
+
+
+@_SETTINGS
+@given(seed=_SEED, n=st.integers(0, 400))
+def test_broadcast_intree_equals_per_job_draws(seed, n):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = random_intree(n, a), oracle_random_intree(n, b)
+    assert got.parent.tobytes() == want.parent.tobytes()
+    assert got.levels().tobytes() == want.levels().tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@_SETTINGS
+@given(
+    seed=_SEED,
+    n=st.integers(1, 200),
+    m=st.integers(1, 6),
+    policy=st.sampled_from(["hlf", "random"]),
+)
+def test_insorted_intree_makespan_equals_sorted_per_step(seed, n, m, policy):
+    tree = random_intree(n, seed)
+    # one generator for service times and one for the random policy's
+    # decisions, as E16 draws them
+    runs = []
+    for simulate in (simulate_intree_makespan, oracle_simulate_intree_makespan):
+        rng = np.random.default_rng(seed + 1)
+        decide = np.random.default_rng(seed + 2)
+        choose = hlf_policy(tree) if policy == "hlf" else random_policy(decide)
+        t = simulate(tree, m, 1.0, choose, rng)
+        states = (rng.bit_generator.state, decide.bit_generator.state)
+        runs.append((np.float64(t).tobytes(), states))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
