@@ -18,11 +18,10 @@ from repro.experiments import get_scenario, run_scenario
 SC = get_scenario("A1")
 
 
-def test_a01_gittins_algorithms_agree(benchmark, report, record_bench):
+def test_a01_gittins_algorithms_agree(report, record_bench):
     res = run_scenario(SC, replications=20, seed=1, workers=1)
 
     proj = random_project(50, np.random.default_rng(50))
-    benchmark(lambda: gittins_indices_vwb(proj, 0.9))
 
     import time
 

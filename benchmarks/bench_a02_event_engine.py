@@ -53,13 +53,12 @@ def _best_of(fn, n: int = 15) -> float:
     return best
 
 
-def test_a02_event_engine_throughput(benchmark, report, record_bench):
+def test_a02_event_engine_throughput(report, record_bench):
     net = QueueingNetwork(
         [ClassConfig(0, Exponential(1.0), arrival_rate=0.7)],
         [StationConfig(discipline="priority", priority=(0,))],
     )
     horizon = 5_000.0  # ~ 2 * 0.7 * 5000 = 7k events per run
-    benchmark(lambda: simulate_network(net, horizon, np.random.default_rng(0)))
     t_run = _best_of(lambda: simulate_network(net, horizon, np.random.default_rng(0)))
 
     # E15's exhaustive case at its default horizon: Exponential services

@@ -17,7 +17,7 @@ from repro.experiments import get_scenario, run_scenario
 SC = get_scenario("A3")
 
 
-def test_a03_achievable_region_lp(benchmark, report, record_bench):
+def test_a03_achievable_region_lp(report, record_bench):
     res = run_scenario(SC, replications=40, seed=3, workers=1)
     m = res.means()
 
@@ -27,7 +27,6 @@ def test_a03_achievable_region_lp(benchmark, report, record_bench):
     ms = rng.uniform(0.4, 1.2, size=n)
     m2 = 2 * ms**2
     c = rng.uniform(0.3, 3.0, size=n)
-    benchmark(lambda: achievable_region_lp(lam, ms, m2, c))
 
     import time
 

@@ -85,7 +85,7 @@ def _measure(sid: str, batch) -> tuple[np.ndarray, np.ndarray]:
     return times[:, 0], times[:, 1]
 
 
-def test_a04_vectorized_speedup(benchmark, report, record_bench):
+def test_a04_vectorized_speedup(report, record_bench):
     batch = SMOKE_BATCH if smoke_mode() else BATCH
     if not smoke_mode():
         batched = {sid for sid in kernel_ids() if not is_direct_kernel(sid)}
@@ -115,11 +115,6 @@ def test_a04_vectorized_speedup(benchmark, report, record_bench):
         metrics[f"{sid}.speedup_q3"] = {"value": float(q3)}
         metrics[f"{sid}.event_s"] = {"value": float(np.median(t_event)), "unit": "s"}
         metrics[f"{sid}.vec_s"] = {"value": float(np.median(t_vec)), "unit": "s"}
-
-    sc = get_scenario("E1")
-    params = sc.params()
-    seeds = spawn_seed_sequences(0, 16)
-    benchmark(lambda: simulate_scenario_batch("E1", seeds, params))
 
     report(
         "A4: vectorized kernels vs the event backend (same seeds, same results)",

@@ -34,7 +34,7 @@ MIN_REPS, MAX_REPS = 4, 96
 FIXED = 24  # the one-size-fits-all budget the controller competes with
 
 
-def test_a05_adaptive_precision(benchmark, report, record_bench):
+def test_a05_adaptive_precision(report, record_bench):
     rows = []
     achieved = {}
     for sid, overrides in PANEL.items():
@@ -119,14 +119,3 @@ def test_a05_adaptive_precision(benchmark, report, record_bench):
             },
             meta={"target": TARGET, "tighter": TIGHTER, "panel": sorted(PANEL)},
         )
-
-    benchmark(
-        lambda: run_scenario(
-            "E1",
-            seed=5,
-            workers=1,
-            target_precision=TARGET,
-            min_reps=MIN_REPS,
-            max_reps=MAX_REPS,
-        )
-    )

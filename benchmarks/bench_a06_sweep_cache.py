@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments import SweepSpec, get_scenario, run_sweep
-
-SC = get_scenario("E1")  # registry-driven, like every scenario benchmark
+from repro.experiments import SweepSpec, run_sweep
 
 GRID = {"n_jobs": [20, 40], "n_brute": [5, 6]}
 WIDER = {"n_jobs": [20, 40, 60], "n_brute": [5, 6]}
@@ -33,7 +31,7 @@ def _timed(spec, store, replications):
     return sweep, time.perf_counter() - start
 
 
-def test_a06_sweep_cache_resume(benchmark, report, record_bench, tmp_path):
+def test_a06_sweep_cache_resume(report, record_bench, tmp_path):
     store = tmp_path / "store"
     spec = SweepSpec("E1", axes=GRID)
 
@@ -45,8 +43,6 @@ def test_a06_sweep_cache_resume(benchmark, report, record_bench, tmp_path):
     # resumed runs are bit-identical to the cold run, point by point
     for a, b in zip(cold.results, resumed.results):
         assert a.samples == b.samples
-
-    benchmark(lambda: _timed(spec, store, REPS)[0])
 
     def simulated(sweep):
         return sweep.total_replications - sweep.cached_replications

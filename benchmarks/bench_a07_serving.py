@@ -20,7 +20,6 @@ are free of any accuracy trade.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 
 from repro.serve import ServerHarness
@@ -43,7 +42,7 @@ def _submission(reps=REPS, seed=6, axes=GRID):
     }
 
 
-def test_a07_serving_economics(benchmark, report, record_bench, tmp_path):
+def test_a07_serving_economics(report, record_bench, tmp_path):
     store = tmp_path / "store"
     sub = _submission()
 
@@ -80,14 +79,6 @@ def test_a07_serving_economics(benchmark, report, record_bench, tmp_path):
 
     assert warm_doc == cold_doc  # byte-identical across daemons and cache
     assert status["simulated_replications"] == 0  # everything from store
-
-    # the benchmark fixture times the cheapest hot path: a fresh daemon
-    # accepting one submission end to end
-    def accept_one():
-        with tempfile.TemporaryDirectory() as store, ServerHarness(store=store) as h:
-            return h.client().submit(_submission(reps=1, axes={"n_jobs": [6]}))
-
-    benchmark(accept_one)
 
     submits_per_s = N_SUBMITS / t_submit
     events_per_s = n_events / t_stream

@@ -1,23 +1,18 @@
-"""Shared helpers for the experiment benchmarks.
+"""Shared fixtures for the ``bench_a0*.py`` ablation benches.
 
-Every ``bench_eXX_*.py`` file reproduces one claim from the survey (the
-paper has no numbered tables/figures; EXPERIMENTS.md maps each experiment
-to the claim it validates). Each test
+Each bench measures one design choice of the reproduction (index
+algorithms, the event engines, the achievable-region LP, the vectorized
+backend, adaptive precision, the sweep cache, the serving daemon), prints
+its table through the ``report`` fixture (visible even without ``-s``)
+and emits a structured ``repro.bench/v1`` record through
+``record_bench``. Recording is opt-in: set ``REPRO_BENCH_RECORD=1`` to
+append to the repo-root ``BENCH_a0x.json`` trajectory (or set it to an
+explicit path), and ``REPRO_BENCH_SMOKE=1`` to run the reduced CI sizes,
+which are recorded under the ``smoke`` config label so the regression
+gate always compares like against like. ``bench_a08_cold_start.py`` is a
+script, not a pytest bench, and writes its own record.
 
-* runs a moderate-size instance of the experiment,
-* prints a claim-vs-measured table (always visible, even without ``-s``),
-* wraps the computational kernel in the ``benchmark`` fixture so
-  ``pytest benchmarks/ --benchmark-only`` also reports timings,
-* asserts the *shape* of the paper's claim (who wins, direction of trends),
-  not absolute numbers.
-
-The ``bench_a0*.py`` ablation benches additionally emit a structured
-``repro.bench/v1`` record through the ``record_bench`` fixture.
-Recording is opt-in: set ``REPRO_BENCH_RECORD=1`` to append to the
-repo-root ``BENCH_a0x.json`` trajectory (or set it to an explicit path),
-and ``REPRO_BENCH_SMOKE=1`` to run the reduced CI sizes, which are
-recorded under the ``smoke`` config label so the regression gate always
-compares like against like.
+The survey's claims are asserted in ``tests/test_survey_claims.py``.
 """
 
 from __future__ import annotations

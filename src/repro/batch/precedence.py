@@ -64,6 +64,13 @@ class InTree:
         self.parent = p
         self._levels = _heights(p.tolist())  # raises on a cycle
 
+    # the generated __eq__ would compare the parent arrays inside a tuple,
+    # which raises; defining it here also keeps InTree unhashable
+    def __eq__(self, other):
+        if not isinstance(other, InTree):
+            return NotImplemented
+        return np.array_equal(self.parent, other.parent)
+
     @property
     def n_jobs(self) -> int:
         """Number of jobs."""

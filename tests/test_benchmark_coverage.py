@@ -1,12 +1,13 @@
-"""Coverage guards: every built-in scenario must have a benchmark
-consumer *and* a vectorized kernel.
+"""Coverage guards: every built-in scenario must have a claim consumer
+*and* a vectorized kernel.
 
-The benchmarks under ``benchmarks/bench_*.py`` are the human-facing
-claim-vs-measured tables; the registry is the machine-facing catalogue.
-The first pair of tests keeps them in lock: a scenario added to a
-built-in pack without a ``bench_*.py`` file that consumes it
-(``get_scenario("<id>")``) fails here, as does a benchmark referencing an
-id the registry no longer knows.
+The claims table in ``tests/test_survey_claims.py`` and the record
+benches ``benchmarks/bench_a0*.py`` are the human-facing checks of the
+survey's claims; the registry is the machine-facing catalogue. The first
+pair of tests keeps them in lock: a scenario added to a built-in pack
+with neither a claims-table row nor a bench that consumes it
+(``get_scenario("<id>")``) fails here, as does a row or bench referencing
+an id the registry no longer knows.
 
 The kernel-coverage guard enforces the other half of the backend
 contract: ``--backend vectorized`` hard-errors on scenarios without a
@@ -16,7 +17,7 @@ vectorized backend can run — this test fails instead, and
 new kernel (its BATCH table is asserted in sync with the registry).
 
 Both requirements are scoped to *built-in* packs: an entry-point pack on
-``PYTHONPATH`` (e.g. ``examples/demo_pack``) ships its own benchmarks,
+``PYTHONPATH`` (e.g. ``examples/demo_pack``) ships its own checks,
 if any, and may legitimately be event-only.  The pack-level guards at
 the bottom instead hold for every discovered pack, third-party included.
 """
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from repro.experiments import discovered_packs, kernel_ids, pack_info, scenario_ids
 from repro.experiments.registry import get_kernel, is_direct_kernel
+from test_survey_claims import CLAIMS
 
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 _GET_SCENARIO = re.compile(r"""get_scenario\(\s*["']([A-Za-z]+\d+)["']\s*\)""")
@@ -46,6 +48,10 @@ def _builtin_ids() -> list[str]:
 
 def _consumed_ids() -> dict[str, list[str]]:
     consumers: dict[str, list[str]] = {}
+    for claim in CLAIMS:
+        consumers.setdefault(claim.scenario.upper(), []).append(
+            f"test_survey_claims.py::{claim.holds.__name__}"
+        )
     for path in sorted(BENCH_DIR.glob("bench_*.py")):
         for sid in _GET_SCENARIO.findall(path.read_text()):
             consumers.setdefault(sid.upper(), []).append(path.name)
@@ -56,17 +62,17 @@ def test_every_builtin_scenario_has_a_benchmark_consumer():
     consumers = _consumed_ids()
     missing = [sid for sid in _builtin_ids() if sid not in consumers]
     assert not missing, (
-        f"built-in scenarios without a benchmarks/bench_*.py consumer: "
-        f"{missing}; add a registry-driven benchmark (see bench_e01_wsept.py)"
+        f"built-in scenarios without a claim: {missing}; add a row to "
+        f"CLAIMS in tests/test_survey_claims.py"
     )
 
 
 def test_no_benchmark_references_an_unknown_scenario():
     known = set(scenario_ids())
     unknown = {
-        sid: files for sid, files in _consumed_ids().items() if sid not in known
+        sid: where for sid, where in _consumed_ids().items() if sid not in known
     }
-    assert not unknown, f"benchmarks reference unregistered scenarios: {unknown}"
+    assert not unknown, f"claims reference unregistered scenarios: {unknown}"
 
 
 def test_every_builtin_scenario_has_a_vectorized_kernel():

@@ -87,6 +87,15 @@ class TestInTree:
         rnd = run_replications(run_rnd, 800, seed=2)
         assert hlf.mean <= rnd.mean + hlf.half_width + rnd.half_width
 
+    def test_equality_compares_parents(self):
+        tree = random_intree(5, 0)
+        assert tree == random_intree(5, 0)
+        assert tree != InTree(parent=np.array([-1, 0, 0, 0, 0]))
+        assert tree != InTree(parent=np.array([-1, 0, 1]))
+        assert tree != tree.parent.tolist()
+        with pytest.raises(TypeError):
+            hash(tree)
+
     def test_policy_validation(self):
         tree = random_intree(5, 0)
         with pytest.raises(ValueError):
